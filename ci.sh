@@ -207,7 +207,11 @@ echo "==> telemetry + SLO gates"
 # analyze_gate covers the sparse/product-form kernel stream, and the
 # profiler must reconcile bit-exactly over both. The Klee–Minty cube is
 # the classic exponential-path/cycling stressor: the dual engine must
-# finish it optimally (anti-cycling smoke) rather than stall.
+# finish it optimally (anti-cycling smoke) rather than stall. The dual
+# engine's primal cleanup runs the shared primal driver (DESIGN.md
+# "Primal driver"): on a pure-'<=' instance it must pivot exactly like
+# the host engine and emit the same telemetry series, and a removed
+# basis scheme must be rejected rather than silently replaced.
 echo "==> basis-oracle + dual-engine gates"
 (
   cd build
@@ -220,6 +224,19 @@ echo "==> basis-oracle + dual-engine gates"
     | grep 'profile: reconciled bit-exactly'
   ./examples/lp_cli --gen klee:12 --engine dual \
     | grep -i 'status: *optimal'
+  ./examples/lp_cli --gen sparse:96:7 --engine host \
+    --record=ci_host.gsrec > /dev/null
+  ./examples/lp_cli --gen sparse:96:7 --engine dual \
+    --record=ci_dual.gsrec > /dev/null
+  ./examples/lp_cli --diff ci_host.gsrec ci_dual.gsrec \
+    | grep 'recordings agree on all'
+  ./examples/lp_cli --gen dense:32:11 --engine dual \
+    --telemetry=ci_dual_telemetry.json > /dev/null
+  grep -q '"engine.objective"' ci_dual_telemetry.json
+  if ./examples/lp_cli --gen dense:32:11 --basis lu > /dev/null 2>&1; then
+    echo "lp_cli accepted the removed --basis lu" >&2
+    exit 1
+  fi
 )
 
 run_config build-asan   -DCMAKE_BUILD_TYPE=Debug -DGS_SANITIZE=address,undefined

@@ -5,7 +5,7 @@
 //     --engine device|device-float|host|dual|tableau|sparse
 //                                                        (default device)
 //     --pricing dantzig|bland|hybrid|devex               (default hybrid)
-//     --basis explicit|product-form|lu                   (default explicit)
+//     --basis explicit|explicit-inverse|product-form     (default explicit)
 //     --device gtx280|gtx570|titan                       (default gtx280)
 //     --max-iters N                                      (default 50000)
 //     --presolve                                         run reductions first
@@ -130,10 +130,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "lp/generators.hpp"
@@ -216,6 +219,28 @@ std::optional<lp::LpProblem> parse_gen(const std::string& spec,
     return std::nullopt;
   }
   return std::nullopt;
+}
+
+/// Set `out` from flag `name`'s value, if given, by exact match against
+/// `choices`. An unknown value is a usage error: report the accepted
+/// values and return false (never fall back to a default silently).
+template <typename T>
+[[nodiscard]] bool choose(
+    const std::map<std::string, std::string>& flags, const std::string& name,
+    T& out, std::initializer_list<std::pair<std::string_view, T>> choices) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  for (const auto& [value, choice] : choices) {
+    if (it->second == value) {
+      out = choice;
+      return true;
+    }
+  }
+  std::cerr << "error: unknown --" << name << " value '" << it->second
+            << "' (accepted:";
+  for (const auto& choice : choices) std::cerr << ' ' << choice.first;
+  std::cerr << ")\n";
+  return false;
 }
 
 /// Map a recording header's engine string back to an Engine (for --replay
@@ -545,36 +570,39 @@ int main(int argc, char** argv) {
     if (auto it = flags.find("max-iters"); it != flags.end()) {
       options.max_iterations = static_cast<std::size_t>(std::stoul(it->second));
     }
-    if (auto it = flags.find("pricing"); it != flags.end()) {
-      const std::string& p = it->second;
-      options.pricing = p == "dantzig" ? simplex::PricingRule::kDantzig
-                        : p == "bland" ? simplex::PricingRule::kBland
-                        : p == "devex" ? simplex::PricingRule::kDevex
-                                       : simplex::PricingRule::kHybrid;
+    if (!choose(flags, "pricing", options.pricing,
+                {{"dantzig", simplex::PricingRule::kDantzig},
+                 {"bland", simplex::PricingRule::kBland},
+                 {"hybrid", simplex::PricingRule::kHybrid},
+                 {"devex", simplex::PricingRule::kDevex}}) ||
+        !choose(flags, "basis", options.basis,
+                {{"explicit", simplex::BasisScheme::kExplicitInverse},
+                 {"explicit-inverse", simplex::BasisScheme::kExplicitInverse},
+                 {"product-form", simplex::BasisScheme::kProductForm}})) {
+      return 1;
     }
-    if (auto it = flags.find("basis"); it != flags.end()) {
-      const std::string& b = it->second;
-      options.basis = b == "product-form" ? simplex::BasisScheme::kProductForm
-                      : b == "lu"         ? simplex::BasisScheme::kLuFactors
-                                          : simplex::BasisScheme::kExplicitInverse;
+    vgpu::MachineModel (*device_model_fn)() = vgpu::gtx280_model;
+    if (!choose(flags, "device", device_model_fn,
+                {{"gtx280", &vgpu::gtx280_model},
+                 {"gtx570", &vgpu::gtx570_model},
+                 {"titan", &vgpu::titan_model}})) {
+      return 1;
     }
-    vgpu::MachineModel device_model = vgpu::gtx280_model();
-    if (auto it = flags.find("device"); it != flags.end()) {
-      if (it->second == "gtx570") device_model = vgpu::gtx570_model();
-      if (it->second == "titan") device_model = vgpu::titan_model();
-    }
+    const vgpu::MachineModel device_model = device_model_fn();
     options.ranging = ranging_on;
     simplex::Engine engine =
         ranging_on ? simplex::Engine::kHostRevised
                    : simplex::Engine::kDeviceRevised;
-    if (auto it = flags.find("engine"); it != flags.end()) {
-      const std::string& e = it->second;
-      engine = e == "host"           ? simplex::Engine::kHostRevised
-               : e == "dual"         ? simplex::Engine::kDualRevised
-               : e == "tableau"      ? simplex::Engine::kTableau
-               : e == "sparse"       ? simplex::Engine::kSparseRevised
-               : e == "device-float" ? simplex::Engine::kDeviceRevisedFloat
-                                     : simplex::Engine::kDeviceRevised;
+    if (flags.contains("engine")) {
+      if (!choose(flags, "engine", engine,
+                  {{"device", simplex::Engine::kDeviceRevised},
+                   {"device-float", simplex::Engine::kDeviceRevisedFloat},
+                   {"host", simplex::Engine::kHostRevised},
+                   {"dual", simplex::Engine::kDualRevised},
+                   {"tableau", simplex::Engine::kTableau},
+                   {"sparse", simplex::Engine::kSparseRevised}})) {
+        return 1;
+      }
     } else if (replay_on) {
       // No explicit engine: rerun on the engine the recording came from.
       const auto mapped =
@@ -590,11 +618,15 @@ int main(int argc, char** argv) {
 
     // ---- Scaling (solve_standard path) or plain solve. ----
     simplex::SolveResult result;
-    if (auto it = flags.find("scale"); it != flags.end()) {
+    bool geometric = false;
+    if (!choose(flags, "scale", geometric,
+                {{"pow10", false}, {"geometric", true}})) {
+      return 1;
+    }
+    if (flags.contains("scale")) {
       auto sf = lp::to_standard_form(problem);
-      const lp::ScalingInfo info = it->second == "geometric"
-                                       ? lp::scale_geometric(sf)
-                                       : lp::scale_pow10(sf);
+      const lp::ScalingInfo info =
+          geometric ? lp::scale_geometric(sf) : lp::scale_pow10(sf);
       vgpu::Device device(device_model);
       simplex::DeviceRevisedSimplex<double> solver(device, options);
       result = solver.solve_standard(sf);

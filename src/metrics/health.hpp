@@ -93,9 +93,9 @@ struct HealthConfig {
 /// solver state, so attaching it cannot perturb the solve.
 ///
 /// Residual and growth values are *computed by the engine* (each engine
-/// knows its own basis representation — see `sample_health` in
-/// device_revised.hpp / host_revised.cpp) and only judged here; the
-/// monitor decides *when* via `want_residual_sample`.
+/// knows its own basis representation — see the `probe_health` steps in
+/// device_revised.hpp / host_steps.hpp, fed by simplex::PrimalDriver) and
+/// only judged here; the monitor decides *when* via `want_residual_sample`.
 class HealthMonitor {
  public:
   HealthMonitor(MetricsRegistry* registry, const HealthConfig& config)
@@ -177,8 +177,8 @@ class HealthMonitor {
     }
   }
 
-  /// Record the eta-file / update-factor length for product-form and LU
-  /// basis representations (explicit-inverse engines never call this).
+  /// Record the eta-file length for the product-form basis representation
+  /// (explicit-inverse engines never call this).
   void record_eta_count(std::size_t count) {
     if (registry_ == nullptr) return;
     eta_count_->set(static_cast<double>(count));

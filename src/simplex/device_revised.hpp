@@ -32,12 +32,12 @@
 #include "profile/profile.hpp"
 #include "simplex/at_policy.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/primal_driver.hpp"
 #include "simplex/types.hpp"
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vblas/containers.hpp"
 #include "vblas/host_ref.hpp"
-#include "vblas/lu.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/primitives.hpp"
@@ -71,11 +71,6 @@ class DeviceRevisedSimplex {
     dev_.set_checker(opt_.checker);
     dev_.set_metrics(opt_.metrics);
     dev_.set_recorder(opt_.recorder);
-    // Solver-level metrics live for the whole solve (not per run_loop call)
-    // so stall streaks and Bland activations span the phase boundary.
-    metrics::SimplexOpMetrics op_metrics;
-    op_metrics.attach(opt_.metrics);
-    metrics::HealthMonitor health(opt_.metrics, opt_.health);
     const trace::Track& tr = dev_.trace();
     const auto clock = [this] { return dev_.sim_seconds(); };
     if (tr.enabled()) tr.name_thread(engine_name());
@@ -84,12 +79,6 @@ class DeviceRevisedSimplex {
     trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
     const AugmentedLp aug = augment(sf);
     Workspace ws(dev_, aug, opt_);
-    if (opt_.basis == BasisScheme::kLuFactors) {
-      // The LU scheme reads constraint columns host-side; factor the crash
-      // basis once up front.
-      ws.at_host_lu = aug.dense_at();
-      lu_refactorize(ws);
-    }
     record::Recorder* rec = opt_.recorder;
     if (rec != nullptr) {
       rec->begin_solve(engine_name(), sizeof(Real) * 8, aug.m, aug.n_aug,
@@ -108,50 +97,12 @@ class DeviceRevisedSimplex {
       result.basis = ws.basic;
       return finish(result, status, wall);
     };
-    std::size_t budget = opt_.max_iterations;
-
-    // ---- Phase 1: minimize the artificial sum, if any were needed. ----
-    if (aug.num_artificial > 0) {
-      trace::ScopedSpan phase_span(tr, "phase1", clock, "phase");
-      if (rec != nullptr) rec->begin_phase(1);
-      ws.load_costs(aug.c_phase1);
-      const LoopExit exit =
-          run_loop(ws, budget, result.stats, op_metrics, health, 1);
-      result.stats.phase1_iterations = result.stats.iterations;
-      if (exit == LoopExit::kIterationLimit) {
-        return fin(SolveStatus::kIterationLimit);
-      }
-      if (exit == LoopExit::kUnbounded) {
-        // Phase-1 objective is bounded below by zero; reaching here means
-        // the ratio test lost every pivot to numerics.
-        return fin(SolveStatus::kNumericalTrouble);
-      }
-      const double z1 = ws.current_objective();
-      const double feas_tol =
-          1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-      if (z1 > feas_tol) {
-        return fin(SolveStatus::kInfeasible);
-      }
-      drive_out_artificials(ws, result.stats.iterations);
-      budget -= std::min(budget, result.stats.iterations);
-    }
-
-    // ---- Phase 2: original costs, artificials permanently masked. ----
-    LoopExit exit;
-    {
-      trace::ScopedSpan phase_span(tr, "phase2", clock, "phase");
-      if (rec != nullptr) rec->begin_phase(2);
-      ws.load_costs(aug.c_phase2);
-      exit = run_loop(ws, budget, result.stats, op_metrics, health, 2);
-    }
-    switch (exit) {
-      case LoopExit::kOptimal:
-        break;
-      case LoopExit::kUnbounded:
-        return fin(SolveStatus::kUnbounded);
-      case LoopExit::kIterationLimit:
-        return fin(SolveStatus::kIterationLimit);
-    }
+    Steps steps{*this, ws,
+                opt_.fused_iteration &&
+                    opt_.basis == BasisScheme::kExplicitInverse};
+    PrimalDriver driver(steps, aug, opt_, result.stats);
+    const SolveStatus status = driver.run_phases(aug.num_artificial > 0);
+    if (status != SolveStatus::kOptimal) return fin(status);
 
     // Extract the optimum: x_std from the basic values, then map back.
     const std::vector<Real> beta = ws.beta.to_host();
@@ -180,8 +131,6 @@ class DeviceRevisedSimplex {
     return std::string("device-revised<") +
            (sizeof(Real) == 4 ? "float" : "double") + ">";
   }
-
-  enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 
   /// All device-resident solver state for one solve.
   struct Workspace {
@@ -266,6 +215,16 @@ class DeviceRevisedSimplex {
       mask.upload(mv);
     }
 
+    /// Entering column q replaces row p's basic variable (host basis
+    /// bookkeeping only); returns the leaving column.
+    std::uint32_t exchange(std::size_t p, std::size_t q) {
+      const std::uint32_t leaving = basic[p];
+      basic[p] = static_cast<std::uint32_t>(q);
+      in_basis[leaving] = false;
+      in_basis[q] = true;
+      return leaving;
+    }
+
     /// Exact objective of the current phase costs at the current basis
     /// (recomputed from beta; avoids incremental drift).
     [[nodiscard]] double current_objective() const {
@@ -303,12 +262,6 @@ class DeviceRevisedSimplex {
     };
     std::vector<Eta> etas;
 
-    /// LU-factor scheme state: factors of the basis at the last
-    /// refactorization (host-side double; the device is charged for the
-    /// equivalent blocked kernels), plus a dense host A^T for column reads.
-    std::optional<vblas::LuFactors> lu;
-    vblas::Matrix<double> at_host_lu;
-
     std::vector<std::uint32_t> basic;
     std::vector<bool> in_basis;
     std::vector<double> c_host;
@@ -320,15 +273,12 @@ class DeviceRevisedSimplex {
   // Kernels (each one launch on the device, costed like its CUDA original)
   // ---------------------------------------------------------------------
 
-  /// out = (B^-1)^T seed under the active basis scheme.
+  /// out = (B^-1)^T seed under the active basis scheme: under product
+  /// form, the eta transposes newest-first, then (B0^-1)^T.
   void btran_generic(Workspace& ws, const vgpu::DeviceBuffer<Real>& seed,
                      vgpu::DeviceBuffer<Real>& out) {
-    const bool with_etas = !ws.etas.empty();
-    const bool sparse_pf = At<Real>::kSparseKernels &&
-                           ws.options.basis == BasisScheme::kProductForm;
-    if ((ws.options.basis == BasisScheme::kProductForm && with_etas) ||
-        ws.options.basis == BasisScheme::kLuFactors) {
-      // y = seed; apply eta transposes newest-first; then (B0^-1)^T y.
+    const vgpu::DeviceBuffer<Real>* y = &seed;
+    if (!ws.etas.empty()) {
       auto ysp = ws.eta_work.device_span();
       auto ssp = seed.device_span();
       dev_.launch_blocks(
@@ -340,63 +290,41 @@ class DeviceRevisedSimplex {
       for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
         eta_btran_apply(ws, *it);
       }
-      if (ws.options.basis == BasisScheme::kLuFactors) {
-        lu_btran_tail(ws, out);
-      } else if (sparse_pf) {
-        btran_sparse_base(ws, ws.eta_work, out);
-      } else {
-        btran_dense(ws, ws.eta_work, out);
-      }
-    } else if (sparse_pf) {
-      btran_sparse_base(ws, seed, out);
-    } else {
-      btran_dense(ws, seed, out);
+      y = &ws.eta_work;
     }
+    btran_base(ws, *y, out, sparse_pf(ws));
+  }
+
+  /// The sparse-kernel product-form scheme (SparseAt + product form).
+  [[nodiscard]] static bool sparse_pf(const Workspace& ws) {
+    return At<Real>::kSparseKernels &&
+           ws.options.basis == BasisScheme::kProductForm;
   }
 
   void btran(Workspace& ws) { btran_generic(ws, ws.cb, ws.pi); }
 
   /// out = (B0^-1)^T y: block-local accumulation over columns so rows of
-  /// B^-1 stream contiguously.
-  void btran_dense(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                   vgpu::DeviceBuffer<Real>& out) {
-    const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
-    auto ysp = y.device_span();
-    auto pisp = out.device_span();
-    dev_.launch_blocks(
-        "price_btran", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) pisp[j] = Real{0};
-          for (std::size_t i = 0; i < m; ++i) {
-            const Real yi = ysp[i];
-            if (yi == Real{0}) continue;
-            binv.read_range(i * m + lo, i * m + hi);
-            const Real* row = binv.data() + i * m;
-            for (std::size_t j = lo; j < hi; ++j) pisp[j] += yi * row[j];
-          }
-        });
-  }
-
-  /// Sparse-kernel BTRAN base: same arithmetic as btran_dense (the zero
-  /// rows of y are skipped either way), but launched as "sparse_btran"
-  /// with cost declared from the seed's observed support — nnz(y) rows of
+  /// B^-1 stream contiguously; zero rows of y are skipped. `sparse` is the
+  /// sparse-kernel base: same arithmetic, launched as "sparse_btran" with
+  /// cost declared from the seed's observed support — nnz(y) rows of
   /// B0^-1 stream instead of all m. The support count is host metadata,
   /// like the CSR extents in SparseAt.
-  void btran_sparse_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                         vgpu::DeviceBuffer<Real>& out) {
+  void btran_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
+                   vgpu::DeviceBuffer<Real>& out, bool sparse = false) {
     const std::size_t m = ws.m;
-    const std::span<const Real> yh = y.host_view();
-    std::size_t nnz_y = 0;
-    for (std::size_t i = 0; i < m; ++i) nnz_y += yh[i] != Real{0} ? 1 : 0;
+    std::size_t rows = m;
+    if (sparse) {
+      const std::span<const Real> yh = y.host_view();
+      rows = static_cast<std::size_t>(std::count_if(
+          yh.begin(), yh.end(), [](Real v) { return v != Real{0}; }));
+    }
     auto binv = ws.binv.device_span();
     auto ysp = y.device_span();
     auto pisp = out.device_span();
     dev_.launch_blocks(
-        "sparse_btran", m, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz_y) * double(m),
-         bytes(nnz_y * m + 2 * m), sizeof(Real)},
+        sparse ? "sparse_btran" : "price_btran", m, vgpu::Device::kBlockSize,
+        {2.0 * double(rows) * double(m), bytes(rows * m + 2 * m),
+         sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t j = lo; j < hi; ++j) pisp[j] = Real{0};
           for (std::size_t i = 0; i < m; ++i) {
@@ -409,138 +337,47 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// alpha = B^-1 a_q (FTRAN). Under product form / LU: B0^-1 a_q via the
-  /// dense inverse or the LU solves, then the eta chain in order.
+  /// alpha = B^-1 a_q (FTRAN). Under product form: B0^-1 a_q via the
+  /// dense inverse, then the eta chain in order.
   void ftran(Workspace& ws, std::size_t q) {
-    if (ws.options.basis == BasisScheme::kLuFactors) {
-      lu_ftran_head(ws, q);
-    } else if (At<Real>::kSparseKernels &&
-               ws.options.basis == BasisScheme::kProductForm) {
+    if (sparse_pf(ws)) {
       ws.at.ftran_alpha(ws.binv, q, ws.alpha, "sparse_ftran");
     } else {
       ws.at.ftran_alpha(ws.binv, q, ws.alpha);
     }
-    if (ws.options.basis != BasisScheme::kExplicitInverse) {
-      for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
-    }
-  }
-
-  // -------------------------------------------------------------------
-  // LU-factor scheme: B0 = P^-1 L U. The triangular solves execute on the
-  // host in double (exactness), while the device is charged the blocked
-  // trsv it would run: ceil(m/64) dependent panel kernels per solve — the
-  // launch-latency chain that made 2009 GPU implementations avoid LU.
-  // -------------------------------------------------------------------
-
-  static constexpr std::size_t kTrsvPanel = 64;
-
-  void charge_trsv(Workspace& ws, std::string_view name) {
-    const std::size_t m = ws.m;
-    const std::size_t stages = (m + kTrsvPanel - 1) / kTrsvPanel;
-    const double flops_total = static_cast<double>(m) * static_cast<double>(m);
-    const double bytes_total = bytes(m * m + 2 * m);
-    for (std::size_t s = 0; s < stages; ++s) {
-      dev_.account_kernel(name,
-                          {flops_total / static_cast<double>(stages),
-                           bytes_total / static_cast<double>(stages),
-                           sizeof(Real)},
-                          m - s * kTrsvPanel);
-    }
-  }
-
-  /// alpha = B0^-1 a_q via LU solves (charged as 2 blocked trsv chains).
-  void lu_ftran_head(Workspace& ws, std::size_t q) {
-    GS_CHECK_MSG(ws.lu.has_value(), "LU factors missing");
-    std::vector<double> aq(ws.m);
-    for (std::size_t i = 0; i < ws.m; ++i) aq[i] = ws.at_host_lu(q, i);
-    const std::vector<double> x = vblas::lu_solve(*ws.lu, aq);
-    auto asp = ws.alpha.device_span();
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      asp[i] = static_cast<Real>(x[i]);
-    }
-    charge_trsv(ws, "ftran_trsv_l");
-    charge_trsv(ws, "ftran_trsv_u");
-  }
-
-  /// out = (B0^-1)^T eta_work via transposed LU solves.
-  void lu_btran_tail(Workspace& ws, vgpu::DeviceBuffer<Real>& out) {
-    GS_CHECK_MSG(ws.lu.has_value(), "LU factors missing");
-    auto ysp = ws.eta_work.device_span();
-    std::vector<double> y(ws.m);
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      y[i] = static_cast<double>(ysp[i]);
-    }
-    const std::vector<double> x = vblas::lu_solve_transposed(*ws.lu, y);
-    auto osp = out.device_span();
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      osp[i] = static_cast<Real>(x[i]);
-    }
-    charge_trsv(ws, "btran_trsv_u");
-    charge_trsv(ws, "btran_trsv_l");
-  }
-
-  /// Refactorize the LU basis: assemble B, factor, clear etas, refresh beta.
-  void lu_refactorize(Workspace& ws) {
-    const std::size_t m = ws.m;
-    ws.lu = vblas::lu_factor(assemble_basis(ws));
-    ws.etas.clear();
-    ws.pivots_since_refactor = 0;
-    dev_.account_kernel(
-        "lu_refactor",
-        {(2.0 / 3.0) * double(m) * double(m) * double(m), bytes(2 * m * m),
-         sizeof(Real)},
-        m);
-    const std::vector<double> beta = vblas::lu_solve(*ws.lu, ws.aug.b);
-    auto bsp = ws.beta.device_span();
-    for (std::size_t i = 0; i < m; ++i) {
-      bsp[i] = beta[i] < 0.0 ? Real{0} : static_cast<Real>(beta[i]);
-    }
-    charge_trsv(ws, "refresh_beta_trsv");
+    for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
   }
 
   /// Product-form FTRAN step: x = M x with M the eta matrix. x[p] is
   /// snapshotted by a tiny kernel first so all lanes read the pre-update
-  /// value (as the CUDA original would).
+  /// value (as the CUDA original would). A sparse eta (sparse-kernel
+  /// scheme) touches only its support, so the launch costs nnz flops/bytes
+  /// instead of m; each entry has one writer (support indices are unique)
+  /// — race-free under the checker.
   void eta_ftran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    if (eta.idx.has_value()) {
-      eta_ftran_apply_sparse(ws, eta);
+    auto xsp = ws.alpha.device_span();
+    auto tmp = ws.scalar_tmp.device_span();
+    const std::size_t p = eta.p;
+    dev_.launch_blocks("eta_snapshot", 1, 1, {0.0, bytes(2), sizeof(Real)},
+                       [&](std::size_t, std::size_t, std::size_t) {
+                         tmp[0] = xsp[p];
+                       });
+    if (!eta.idx.has_value()) {
+      auto esp = eta.values->device_span();
+      dev_.launch_blocks(
+          "eta_ftran", ws.m, vgpu::Device::kBlockSize,
+          {2.0 * double(ws.m), bytes(3 * ws.m), sizeof(Real)},
+          [&](std::size_t, std::size_t lo, std::size_t hi) {
+            const Real xp = tmp[0];
+            for (std::size_t i = lo; i < hi; ++i) {
+              xsp[i] = (i == p) ? esp[i] * xp : xsp[i] + esp[i] * xp;
+            }
+          });
       return;
     }
-    auto xsp = ws.alpha.device_span();
-    auto esp = eta.values->device_span();
-    auto tmp = ws.scalar_tmp.device_span();
-    const std::size_t p = eta.p;
-    dev_.launch_blocks("eta_snapshot", 1, 1, {0.0, bytes(2), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         tmp[0] = xsp[p];
-                       });
-    dev_.launch_blocks(
-        "eta_ftran", ws.m, vgpu::Device::kBlockSize,
-        {2.0 * double(ws.m), bytes(3 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real xp = tmp[0];
-          for (std::size_t i = lo; i < hi; ++i) {
-            xsp[i] = (i == p) ? esp[i] * xp : xsp[i] + esp[i] * xp;
-          }
-        });
-  }
-
-  /// Sparse eta_apply (FTRAN direction): only the eta's support is
-  /// touched, so the launch costs nnz flops/bytes instead of m. Each
-  /// entry has one writer (support indices are unique) — race-free under
-  /// the checker.
-  void eta_ftran_apply_sparse(Workspace& ws,
-                              const typename Workspace::Eta& eta) {
-    auto xsp = ws.alpha.device_span();
     auto isp = eta.idx->device_span();
     auto vsp = eta.val->device_span();
-    auto tmp = ws.scalar_tmp.device_span();
-    const std::size_t p = eta.p;
     const std::size_t nnz = eta.val->size();
-    dev_.launch_blocks("eta_snapshot", 1, 1, {0.0, bytes(2), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         tmp[0] = xsp[p];
-                       });
     dev_.launch_blocks(
         "eta_apply", nnz, vgpu::Device::kBlockSize,
         {2.0 * double(nnz),
@@ -556,59 +393,40 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Product-form BTRAN step on ws.eta_work: y_p = eta . y.
+  /// Product-form BTRAN step on ws.eta_work: y_p = eta . y, as a blocked
+  /// dot (over the eta's support only, for a sparse eta) whose per-block
+  /// partials combine in one tiny write kernel.
   void eta_btran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    if (eta.idx.has_value()) {
-      eta_btran_apply_sparse(ws, eta);
-      return;
+    auto ysp = ws.eta_work.device_span();
+    const bool sparse = eta.idx.has_value();
+    const std::size_t n = sparse ? eta.val->size() : ws.m;
+    const std::size_t blocks =
+        (n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
+    std::vector<Real> partial(blocks, Real{0});
+    if (sparse) {
+      auto isp = eta.idx->device_span();
+      auto vsp = eta.val->device_span();
+      dev_.launch_blocks(
+          "eta_apply", n, vgpu::Device::kBlockSize,
+          {2.0 * double(n),
+           double(n * (2 * sizeof(Real) + sizeof(std::uint32_t))),
+           sizeof(Real)},
+          [&](std::size_t blk, std::size_t lo, std::size_t hi) {
+            Real acc{0};
+            for (std::size_t k = lo; k < hi; ++k) acc += vsp[k] * ysp[isp[k]];
+            partial[blk] = acc;
+          });
+    } else {
+      auto esp = eta.values->device_span();
+      dev_.launch_blocks(
+          "eta_btran_dot", n, vgpu::Device::kBlockSize,
+          {2.0 * double(n), bytes(2 * n), sizeof(Real)},
+          [&](std::size_t blk, std::size_t lo, std::size_t hi) {
+            Real acc{0};
+            for (std::size_t i = lo; i < hi; ++i) acc += esp[i] * ysp[i];
+            partial[blk] = acc;
+          });
     }
-    auto ysp = ws.eta_work.device_span();
-    auto esp = eta.values->device_span();
-    const std::size_t m = ws.m;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<Real> partial(blocks, Real{0});
-    dev_.launch_blocks(
-        "eta_btran_dot", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m), bytes(2 * m), sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          Real acc{0};
-          for (std::size_t i = lo; i < hi; ++i) acc += esp[i] * ysp[i];
-          partial[blk] = acc;
-        });
-    const std::size_t p = eta.p;
-    dev_.launch_blocks("eta_btran_write", 1, 1,
-                       {double(blocks), bytes(blocks + 1), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         Real acc{0};
-                         for (std::size_t b = 0; b < blocks; ++b)
-                           acc += partial[b];
-                         ysp[p] = acc;
-                       });
-  }
-
-  /// Sparse eta_apply (BTRAN direction): the dot runs over the eta's
-  /// support only; the per-block partials combine in the same tiny write
-  /// kernel as the dense path.
-  void eta_btran_apply_sparse(Workspace& ws,
-                              const typename Workspace::Eta& eta) {
-    auto ysp = ws.eta_work.device_span();
-    auto isp = eta.idx->device_span();
-    auto vsp = eta.val->device_span();
-    const std::size_t nnz = eta.val->size();
-    const std::size_t blocks =
-        (nnz + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<Real> partial(blocks, Real{0});
-    dev_.launch_blocks(
-        "eta_apply", nnz, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz),
-         double(nnz * (2 * sizeof(Real) + sizeof(std::uint32_t))),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          Real acc{0};
-          for (std::size_t k = lo; k < hi; ++k) acc += vsp[k] * ysp[isp[k]];
-          partial[blk] = acc;
-        });
     const std::size_t p = eta.p;
     dev_.launch_blocks("eta_btran_write", 1, 1,
                        {double(blocks), bytes(blocks + 1), sizeof(Real)},
@@ -799,8 +617,7 @@ class DeviceRevisedSimplex {
 
   /// Product-form: append the eta for this pivot instead of updating B^-1.
   void append_eta(Workspace& ws, std::size_t p, Real alpha_p) {
-    if (At<Real>::kSparseKernels &&
-        ws.options.basis == BasisScheme::kProductForm) {
+    if (sparse_pf(ws)) {
       append_eta_sparse(ws, p, alpha_p);
       return;
     }
@@ -997,387 +814,8 @@ class DeviceRevisedSimplex {
     ws.devex_w.upload_value(ws.basic[p], w_leave);
   }
 
-  // ---------------------------------------------------------------------
-  // Main loop
-  // ---------------------------------------------------------------------
-
-  LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
-                    metrics::SimplexOpMetrics& om,
-                    metrics::HealthMonitor& health, std::uint8_t phase) {
-    if (ws.options.fused_iteration &&
-        ws.options.basis == BasisScheme::kExplicitInverse) {
-      return run_loop_fused(ws, budget, stats, om, health, phase);
-    }
-    const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
-    // Per-op modeled-time laps on the simulated clock: `lap` advances at
-    // each op boundary, so scalar readbacks between ops (alpha_p, d_q) are
-    // charged to the op that consumes them — the same tiling the trace's
-    // op spans produce.
-    const bool om_on = om.enabled();
-    double lap = om_on ? dev_.sim_seconds() : 0.0;
-    const auto lap_observe = [&](metrics::SimplexOp op) {
-      if (!om_on) return;
-      const double now = dev_.sim_seconds();
-      om.observe(op, now - lap);
-      lap = now;
-    };
-    double z = ws.current_objective();
-    std::size_t since_improve = 0;
-    bool bland_mode = false;
-    for (std::size_t iter = 0; iter < budget; ++iter) {
-      // Hybrid pricing: Bland during degeneracy streaks.
-      if (ws.options.pricing == PricingRule::kHybrid) {
-        bland_mode = since_improve >= ws.options.degeneracy_window;
-      }
-
-      trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
-                                  {{"iter", static_cast<double>(iter)}});
-      if (om_on) lap = dev_.sim_seconds();
-
-      std::optional<std::size_t> entering;
-      Real d_q{};
-      {
-        trace::ScopedSpan op(tr, "price", clock, "op");
-        btran(ws);
-        ws.at.price(ws.pi, ws.c, ws.mask, ws.d);
-        entering = select_entering(ws, bland_mode);
-        if (entering.has_value()) d_q = ws.d.download_value(*entering);
-      }
-      lap_observe(metrics::SimplexOp::kPrice);
-      if (!entering.has_value()) return LoopExit::kOptimal;
-      const std::size_t q = *entering;
-
-      {
-        trace::ScopedSpan op(tr, "ftran", clock, "op");
-        ftran(ws, q);
-      }
-      lap_observe(metrics::SimplexOp::kFtran);
-      vgpu::ArgResult<Real> leave;
-      {
-        trace::ScopedSpan op(tr, "ratio", clock, "op");
-        ratio_test_kernel(ws);
-        leave = vgpu::argmin(ws.ratio);
-      }
-      lap_observe(metrics::SimplexOp::kRatio);
-      if (!leave.found() || leave.value == kInf) return LoopExit::kUnbounded;
-      const std::size_t p = leave.index;
-      const Real theta = leave.value;
-      const Real alpha_p = ws.alpha.download_value(p);
-
-      if (record::Recorder* rec = opt_.recorder) {
-        // Ratio ties are counted through host_view() — outside the machine
-        // model, so recording charges no PCIe time and perturbs nothing.
-        const std::span<const Real> rv = ws.ratio.host_view();
-        std::uint32_t ties = 0;
-        for (std::size_t i = 0; i < ws.m; ++i) {
-          if (rv[i] == theta) ++ties;
-        }
-        record::DecisionRecord r;
-        r.phase = phase;
-        r.bland = (bland_mode || ws.options.pricing == PricingRule::kBland)
-                      ? 1
-                      : 0;
-        r.iteration = stats.iterations;  // global ordinal, pre-increment
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(p);
-        r.leaving_col = ws.basic[p];
-        r.ratio_ties = ties;
-        r.reduced_cost = static_cast<double>(d_q);
-        r.pivot_value = static_cast<double>(alpha_p);
-        r.theta = static_cast<double>(theta);
-        rec->record_pivot(r);
-      }
-
-      {
-        trace::ScopedSpan op(tr, "update", clock, "op");
-        if (ws.options.pricing == PricingRule::kDevex) {
-          devex_update(ws, q, p, alpha_p);
-        }
-        pivot(ws, q, p, theta, alpha_p);
-      }
-      lap_observe(metrics::SimplexOp::kUpdate);
-      ++stats.iterations;
-      om.count_iteration();
-      health.record_pivot(
-          static_cast<double>(alpha_p), static_cast<double>(theta),
-          bland_mode || ws.options.pricing == PricingRule::kBland, iter);
-
-      const double dz = static_cast<double>(theta) * static_cast<double>(d_q);
-      const double new_z = z + dz;
-      if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-        since_improve = 0;
-        bland_mode = false;
-      } else {
-        ++since_improve;
-      }
-      z = new_z;
-      if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), z);
-      telemetry::Telemetry* tel = ws.options.telemetry;
-      const bool want_tel =
-          tel != nullptr && tel->want_iteration_sample(iter);
-      if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
-
-      // Periodic refactorization to shed accumulated rounding error
-      // (explicit inverse) or to bound the eta file (product form / LU).
-      ++ws.pivots_since_refactor;
-      const std::size_t period =
-          ws.options.basis == BasisScheme::kExplicitInverse
-              ? ws.options.refactor_period
-              : (ws.options.reinversion_period > 0
-                     ? ws.options.reinversion_period
-                     : ws.m);
-      if (period > 0 && ws.pivots_since_refactor >= period) {
-        trace::ScopedSpan op(tr, "refactor", clock, "op");
-        if (ws.options.basis == BasisScheme::kLuFactors) {
-          lu_refactorize(ws);
-        } else {
-          reinvert(ws);
-        }
-        lap_observe(metrics::SimplexOp::kRefactor);
-        if (record::Recorder* rec = opt_.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-
-      const bool want_health = health.want_residual_sample(iter);
-      if (want_health || want_tel) {
-        sample_health(ws, health, want_health, want_tel ? tel : nullptr,
-                      iter);
-      }
-    }
-    return LoopExit::kIterationLimit;
-  }
-
-  /// The fused twin of run_loop (explicit inverse only): per iteration,
-  ///   price_btran -> price_select -> ftran_ratio -> [descriptor d2h]
-  ///   -> pivot_stage -> [devex_update_fused] -> pivot_apply.
-  /// The pivot sequence is bit-identical to run_loop's — the fused
-  /// selections share the primitives' block-scan semantics and the device-
-  /// side acceptance tests mirror the host ones — so recordings diff clean
-  /// against the reference path (tests/test_fusion.cpp). Observer side
-  /// effects (trace op spans, metrics laps, recorder fields, health
-  /// samples) are kept structurally identical.
-  LoopExit run_loop_fused(Workspace& ws, std::size_t budget,
-                          SolverStats& stats, metrics::SimplexOpMetrics& om,
-                          metrics::HealthMonitor& health, std::uint8_t phase) {
-    const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
-    const bool om_on = om.enabled();
-    double lap = om_on ? dev_.sim_seconds() : 0.0;
-    const auto lap_observe = [&](metrics::SimplexOp op) {
-      if (!om_on) return;
-      const double now = dev_.sim_seconds();
-      om.observe(op, now - lap);
-      lap = now;
-    };
-    double z = ws.current_objective();
-    std::size_t since_improve = 0;
-    bool bland_mode = false;
-    std::array<Real, kDescSlots> desc_h{};
-    for (std::size_t iter = 0; iter < budget; ++iter) {
-      if (ws.options.pricing == PricingRule::kHybrid) {
-        bland_mode = since_improve >= ws.options.degeneracy_window;
-      }
-
-      trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
-                                  {{"iter", static_cast<double>(iter)}});
-      if (om_on) lap = dev_.sim_seconds();
-
-      const bool bland_now =
-          bland_mode || ws.options.pricing == PricingRule::kBland;
-      const EnteringRule rule =
-          bland_now ? EnteringRule::kBland
-                    : (ws.options.pricing == PricingRule::kDevex
-                           ? EnteringRule::kDevex
-                           : EnteringRule::kDantzig);
-      {
-        trace::ScopedSpan op(tr, "price", clock, "op");
-        btran_dense(ws, ws.cb, ws.pi);
-        ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
-                           ws.devex_w, ws.desc, rule,
-                           static_cast<Real>(ws.options.opt_tol));
-      }
-      lap_observe(metrics::SimplexOp::kPrice);
-      {
-        // Speculative: issued before the host knows whether pricing found
-        // a candidate; the kernel early-exits on-device when it did not.
-        trace::ScopedSpan op(tr, "ftran", clock, "op");
-        ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
-                                 ws.desc,
-                                 static_cast<Real>(ws.options.pivot_tol));
-      }
-      lap_observe(metrics::SimplexOp::kFtran);
-      {
-        // The iteration's ONLY PCIe transfer: one packed descriptor.
-        trace::ScopedSpan op(tr, "ratio", clock, "op");
-        ws.desc.download(std::span<Real>(desc_h.data(), desc_h.size()));
-      }
-      lap_observe(metrics::SimplexOp::kRatio);
-      if (desc_h[kDescQ] < Real{0}) return LoopExit::kOptimal;
-      // Zero-row edge: the ratio kernel is an empty grid (never launched),
-      // so the leaving slots are meaningless — no row can leave.
-      if (ws.m == 0) return LoopExit::kUnbounded;
-      const std::size_t q = static_cast<std::size_t>(desc_h[kDescQ]);
-      const Real d_q = desc_h[kDescDq];
-      const Real theta = desc_h[kDescTheta];
-      if (theta == kInf) return LoopExit::kUnbounded;
-      const std::size_t p = static_cast<std::size_t>(desc_h[kDescP]);
-      const Real alpha_p = desc_h[kDescAlphaP];
-
-      if (record::Recorder* rec = opt_.recorder) {
-        // Ratio ties are counted through host_view() — outside the machine
-        // model, so recording charges no PCIe time and perturbs nothing.
-        const std::span<const Real> rv = ws.ratio.host_view();
-        std::uint32_t ties = 0;
-        for (std::size_t i = 0; i < ws.m; ++i) {
-          if (rv[i] == theta) ++ties;
-        }
-        record::DecisionRecord r;
-        r.phase = phase;
-        r.bland = bland_now ? 1 : 0;
-        r.iteration = stats.iterations;  // global ordinal, pre-increment
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(p);
-        r.leaving_col = ws.basic[p];
-        r.ratio_ties = ties;
-        r.reduced_cost = static_cast<double>(d_q);
-        r.pivot_value = static_cast<double>(alpha_p);
-        r.theta = static_cast<double>(theta);
-        rec->record_pivot(r);
-      }
-
-      {
-        trace::ScopedSpan op(tr, "update", clock, "op");
-        const std::uint32_t leaving = ws.basic[p];
-        pivot_stage(ws, p, theta);
-        if (ws.options.pricing == PricingRule::kDevex) {
-          ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
-                             alpha_p);
-        }
-        pivot_apply(ws, q, p, alpha_p, static_cast<Real>(ws.c_host[q]),
-                    leaving, !ws.aug.is_artificial[leaving]);
-        ws.basic[p] = static_cast<std::uint32_t>(q);
-        ws.in_basis[leaving] = false;
-        ws.in_basis[q] = true;
-      }
-      lap_observe(metrics::SimplexOp::kUpdate);
-      ++stats.iterations;
-      om.count_iteration();
-      health.record_pivot(static_cast<double>(alpha_p),
-                          static_cast<double>(theta), bland_now, iter);
-
-      const double dz = static_cast<double>(theta) * static_cast<double>(d_q);
-      const double new_z = z + dz;
-      if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-        since_improve = 0;
-        bland_mode = false;
-      } else {
-        ++since_improve;
-      }
-      z = new_z;
-      if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), z);
-      telemetry::Telemetry* tel = ws.options.telemetry;
-      const bool want_tel =
-          tel != nullptr && tel->want_iteration_sample(iter);
-      if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
-
-      ++ws.pivots_since_refactor;
-      const std::size_t period = ws.options.refactor_period;
-      if (period > 0 && ws.pivots_since_refactor >= period) {
-        trace::ScopedSpan op(tr, "refactor", clock, "op");
-        reinvert(ws);
-        lap_observe(metrics::SimplexOp::kRefactor);
-        if (record::Recorder* rec = opt_.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-
-      const bool want_health = health.want_residual_sample(iter);
-      if (want_health || want_tel) {
-        sample_health(ws, health, want_health, want_tel ? tel : nullptr,
-                      iter);
-      }
-    }
-    return LoopExit::kIterationLimit;
-  }
-
-  /// HealthMonitor sampling hook (strided; see HealthConfig). Reads device
-  /// state through DeviceBuffer::host_view() — outside the machine model,
-  /// so sampling charges no PCIe time and perturbs nothing.
-  ///
-  /// Explicit inverse: probe `residual_probes` entries of B·B⁻¹ − I — for
-  /// a probed (i, j), row i of B comes straight from the standard form's
-  /// sparse rows (plus any basic artificial on that row), so one probe is
-  /// O(nnz(row i)); the max |probe| is a cheap lower-bound estimate of
-  /// `‖B·B⁻¹ − I‖∞` that tracks drift in the rank-1 update. Growth is the
-  /// max |B⁻¹| over the probed rows. Product-form / LU schemes have no
-  /// drifting inverse to probe; they report the eta-file length instead.
-  /// The health monitor and the telemetry sink sample on independent
-  /// strides; each consumer is fed only when its own gate fired, so
-  /// attaching telemetry never changes what the HealthMonitor records.
-  void sample_health(Workspace& ws, metrics::HealthMonitor& health,
-                     bool record_health, telemetry::Telemetry* tel,
-                     std::size_t iter) {
-    if (ws.options.basis != BasisScheme::kExplicitInverse) {
-      if (record_health) health.record_eta_count(ws.etas.size());
-      if (tel != nullptr) {
-        tel->record("engine.eta_count", dev_.sim_seconds(),
-                    static_cast<double>(ws.etas.size()));
-      }
-      return;
-    }
-    const std::size_t m = ws.m;
-    const std::span<const Real> binv = ws.binv.buffer().host_view();
-    std::vector<std::int64_t> pos_of_col(ws.n_aug, -1);
-    for (std::size_t k = 0; k < m; ++k) {
-      pos_of_col[ws.basic[k]] = static_cast<std::int64_t>(k);
-    }
-    const lp::StandardFormLp& sf = *ws.aug.source;
-    const std::size_t probes =
-        std::max<std::size_t>(1, health.config().residual_probes);
-    const std::size_t step = std::max<std::size_t>(1, m / probes);
-    double residual = 0.0;
-    double growth = 0.0;
-    for (std::size_t t = 0; t < probes; ++t) {
-      // Rotate the probed rows with the iteration so successive samples
-      // cover different parts of the inverse; alternate diagonal and
-      // off-diagonal targets.
-      const std::size_t i = (iter + t * step) % m;
-      const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
-      double acc = 0.0;
-      for (const lp::Term& term : sf.rows[i]) {
-        const std::int64_t k = pos_of_col[term.var];
-        if (k >= 0) {
-          acc += term.coef * static_cast<double>(
-                                 binv[static_cast<std::size_t>(k) * m + j]);
-        }
-      }
-      for (std::size_t a = 0; a < ws.aug.num_artificial; ++a) {
-        if (ws.aug.artificial_rows[a] != i) continue;
-        const std::int64_t k = pos_of_col[ws.aug.n + a];
-        if (k >= 0) {
-          acc += static_cast<double>(binv[static_cast<std::size_t>(k) * m + j]);
-        }
-      }
-      const double r = std::abs(acc - (i == j ? 1.0 : 0.0));
-      if (r > residual) residual = r;
-      for (std::size_t col = 0; col < m; ++col) {
-        const double v = std::abs(static_cast<double>(binv[i * m + col]));
-        if (v > growth) growth = v;
-      }
-    }
-    if (record_health) {
-      health.record_residual(residual, iter);
-      health.record_growth(growth, iter);
-    }
-    if (tel != nullptr) {
-      tel->record("engine.residual_inf", dev_.sim_seconds(), residual);
-      tel->record("engine.binv_growth", dev_.sim_seconds(), growth);
-    }
-  }
-
-  /// Apply one basis exchange: entering column q replaces row p's variable.
+  /// Apply one basis exchange with the reference kernels: entering column
+  /// q replaces row p's variable.
   void pivot(Workspace& ws, std::size_t q, std::size_t p, Real theta,
              Real alpha_p) {
     update_beta(ws, p, theta);
@@ -1387,10 +825,7 @@ class DeviceRevisedSimplex {
     } else {
       append_eta(ws, p, alpha_p);
     }
-    const std::uint32_t leaving = ws.basic[p];
-    ws.basic[p] = static_cast<std::uint32_t>(q);
-    ws.in_basis[leaving] = false;
-    ws.in_basis[q] = true;
+    const std::uint32_t leaving = ws.exchange(p, q);
     // Scalar traffic: c_B[p], mask[q] off, mask[leaving] on (unless it is an
     // artificial, which never re-enters).
     ws.cb.upload_value(p, static_cast<Real>(ws.c_host[q]));
@@ -1400,43 +835,224 @@ class DeviceRevisedSimplex {
     }
   }
 
-  /// After a degenerate phase 1, artificials can linger in the basis at
-  /// level zero. Replace each with any non-artificial column that has a
-  /// nonzero pivot in its row; rows with no such column are redundant and
-  /// keep their (permanently zero) artificial.
-  void drive_out_artificials(Workspace& ws, std::uint64_t iteration) {
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      if (!ws.aug.is_artificial[ws.basic[i]]) continue;
-      compute_binv_row(ws, i);
-      ws.at.pivot_row_product(ws.pivot_row, ws.col_work);
-      const std::vector<Real> w = ws.col_work.to_host();
-      std::size_t q = ws.n_aug;
-      for (std::size_t j = 0; j < ws.aug.n; ++j) {
-        if (!ws.in_basis[j] && std::abs(static_cast<double>(w[j])) > 1e-7) {
-          q = j;
-          break;
+  // ---------------------------------------------------------------------
+  // The primal step set (primal_driver.hpp runs the iteration)
+  // ---------------------------------------------------------------------
+
+  /// The device engine's steps. The reference kernels serve product form
+  /// and the unfused explicit inverse; `fused` selects the explicit-
+  /// inverse fused chain, per iteration
+  ///   price_btran -> price_select -> ftran_ratio -> [descriptor d2h]
+  ///   -> pivot_stage -> [devex_update_fused] -> pivot_apply.
+  /// Its pivot sequence is bit-identical to the reference kernels' — the
+  /// fused selections share the primitives' block-scan semantics and the
+  /// device-side acceptance tests mirror the host ones — so recordings
+  /// diff clean against the reference path (tests/test_fusion.cpp).
+  /// Drive-out always runs the reference kernels.
+  struct Steps {
+    DeviceRevisedSimplex& e;
+    Workspace& ws;
+    bool fused;
+    std::array<Real, kDescSlots> desc{};  ///< fused: host copy of ws.desc
+    std::vector<Real> row_w{};            ///< drive-out row of B^-1 A
+
+    [[nodiscard]] const trace::Track& track() const {
+      return e.dev_.trace();
+    }
+    [[nodiscard]] double now() const { return e.dev_.sim_seconds(); }
+    /// Exact objective from a charged download of beta.
+    [[nodiscard]] double objective() const { return ws.current_objective(); }
+    void load_costs(const std::vector<double>& costs) {
+      ws.load_costs(costs);
+    }
+    [[nodiscard]] std::uint32_t basic_at(std::size_t i) const {
+      return ws.basic[i];
+    }
+    [[nodiscard]] bool is_basic(std::size_t j) const {
+      return ws.in_basis[j];
+    }
+
+    StepResult price(bool bland, Pivot& pv) {
+      if (fused) {
+        const EnteringRule rule =
+            bland ? EnteringRule::kBland
+                  : (ws.options.pricing == PricingRule::kDevex
+                         ? EnteringRule::kDevex
+                         : EnteringRule::kDantzig);
+        e.btran_base(ws, ws.cb, ws.pi);
+        ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
+                           ws.devex_w, ws.desc, rule,
+                           static_cast<Real>(ws.options.opt_tol));
+        return StepResult::kContinue;  // the descriptor decides in ratio()
+      }
+      e.btran(ws);
+      ws.at.price(ws.pi, ws.c, ws.mask, ws.d);
+      const std::optional<std::size_t> q = e.select_entering(ws, bland);
+      if (!q.has_value()) return StepResult::kOptimal;
+      pv.q = *q;
+      pv.d_q = static_cast<double>(ws.d.download_value(*q));
+      return StepResult::kContinue;
+    }
+
+    void ftran(const Pivot& pv) {
+      if (fused) {
+        // Speculative: issued before the host knows whether pricing found
+        // a candidate; the kernel early-exits on-device when it did not.
+        ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
+                                 ws.desc,
+                                 static_cast<Real>(ws.options.pivot_tol));
+      } else {
+        ftran_column(pv.q);
+      }
+    }
+    void ftran_column(std::size_t q) { e.ftran(ws, q); }
+
+    StepResult ratio(Pivot& pv) {
+      if (fused) {
+        // The iteration's ONLY PCIe transfer: one packed descriptor.
+        ws.desc.download(std::span<Real>(desc.data(), desc.size()));
+        if (desc[kDescQ] < Real{0}) return StepResult::kOptimal;
+        // Zero-row edge: the ratio kernel is an empty grid (never
+        // launched), so the leaving slots are meaningless.
+        if (ws.m == 0 || desc[kDescTheta] == kInf) {
+          return StepResult::kUnbounded;
+        }
+        pv = {static_cast<std::size_t>(desc[kDescQ]),
+              static_cast<std::size_t>(desc[kDescP]), desc[kDescDq],
+              desc[kDescTheta], desc[kDescAlphaP]};
+        return StepResult::kContinue;
+      }
+      e.ratio_test_kernel(ws);
+      const vgpu::ArgResult<Real> leave = vgpu::argmin(ws.ratio);
+      if (!leave.found() || leave.value == kInf) return StepResult::kUnbounded;
+      pv.p = leave.index;
+      pv.theta = static_cast<double>(leave.value);
+      return StepResult::kContinue;
+    }
+
+    /// Reference path: alpha_p's scalar readback. Fused: already in the
+    /// descriptor.
+    void pivot_element(Pivot& pv) {
+      if (!fused) pv.alpha_p = pivot_value(pv.p);
+    }
+    double pivot_value(std::size_t row) {
+      return static_cast<double>(ws.alpha.download_value(row));
+    }
+
+    /// Counted through host_view() — outside the machine model, so
+    /// recording charges no PCIe time and perturbs nothing.
+    [[nodiscard]] std::uint32_t ratio_ties(const Pivot& pv) const {
+      const std::span<const Real> rv = ws.ratio.host_view();
+      const Real theta = static_cast<Real>(pv.theta);
+      return static_cast<std::uint32_t>(std::count(rv.begin(), rv.end(),
+                                                   theta));
+    }
+
+    void update(const Pivot& pv) {
+      const Real theta = static_cast<Real>(pv.theta);
+      const Real alpha_p = static_cast<Real>(pv.alpha_p);
+      const bool devex = ws.options.pricing == PricingRule::kDevex;
+      if (fused) {
+        const std::uint32_t leaving = ws.exchange(pv.p, pv.q);
+        e.pivot_stage(ws, pv.p, theta);
+        if (devex) {
+          ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, pv.q,
+                             leaving, alpha_p);
+        }
+        e.pivot_apply(ws, pv.q, pv.p, alpha_p,
+                      static_cast<Real>(ws.c_host[pv.q]), leaving,
+                      !ws.aug.is_artificial[leaving]);
+      } else {
+        if (devex) e.devex_update(ws, pv.q, pv.p, alpha_p);
+        e.pivot(ws, pv.q, pv.p, theta, alpha_p);
+      }
+      ++ws.pivots_since_refactor;
+    }
+    void drive_out_pivot(const Pivot& pv) {
+      e.pivot(ws, pv.q, pv.p, Real{0}, static_cast<Real>(pv.alpha_p));
+    }
+
+    /// Explicit inverse: the opt-in refactor_period sheds rounding drift.
+    /// Product form: reinversion_period (default m) bounds the eta file.
+    [[nodiscard]] bool wants_refactor() const {
+      const std::size_t period =
+          ws.options.basis == BasisScheme::kExplicitInverse
+              ? ws.options.refactor_period
+              : (ws.options.reinversion_period > 0
+                     ? ws.options.reinversion_period
+                     : ws.m);
+      return period > 0 && ws.pivots_since_refactor >= period;
+    }
+    bool refactor() {
+      e.reinvert(ws);
+      return true;
+    }
+
+    /// Reads device state through host_view() — outside the machine
+    /// model, so sampling charges no PCIe time and perturbs nothing.
+    ///
+    /// Explicit inverse: probe `probes` entries of B·B⁻¹ − I — for a
+    /// probed (i, j), row i of B comes straight from the standard form's
+    /// sparse rows (plus any basic artificial on that row), so one probe
+    /// is O(nnz(row i)); the max |probe| is a cheap lower-bound estimate
+    /// of `‖B·B⁻¹ − I‖∞` that tracks drift in the rank-1 update. Growth
+    /// is the max |B⁻¹| over the probed rows. Product form has no
+    /// drifting inverse to probe; it reports the eta-file length instead.
+    [[nodiscard]] HealthProbe probe_health(std::size_t iter,
+                                           std::size_t probes) const {
+      HealthProbe h;
+      if (ws.options.basis != BasisScheme::kExplicitInverse) {
+        h.eta_count = ws.etas.size();
+        return h;
+      }
+      const std::size_t m = ws.m;
+      const std::span<const Real> binv = ws.binv.buffer().host_view();
+      std::vector<std::int64_t> pos_of_col(ws.n_aug, -1);
+      for (std::size_t k = 0; k < m; ++k) {
+        pos_of_col[ws.basic[k]] = static_cast<std::int64_t>(k);
+      }
+      const lp::StandardFormLp& sf = *ws.aug.source;
+      const std::size_t step = std::max<std::size_t>(1, m / probes);
+      for (std::size_t t = 0; t < probes; ++t) {
+        // Rotate the probed rows with the iteration so successive samples
+        // cover different parts of the inverse; alternate diagonal and
+        // off-diagonal targets.
+        const std::size_t i = (iter + t * step) % m;
+        const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
+        double acc = 0.0;
+        for (const lp::Term& term : sf.rows[i]) {
+          const std::int64_t k = pos_of_col[term.var];
+          if (k >= 0) {
+            acc += term.coef * static_cast<double>(
+                                   binv[static_cast<std::size_t>(k) * m + j]);
+          }
+        }
+        for (std::size_t a = 0; a < ws.aug.num_artificial; ++a) {
+          if (ws.aug.artificial_rows[a] != i) continue;
+          const std::int64_t k = pos_of_col[ws.aug.n + a];
+          if (k >= 0) {
+            acc += static_cast<double>(
+                binv[static_cast<std::size_t>(k) * m + j]);
+          }
+        }
+        h.residual = std::max(h.residual, std::abs(acc - (i == j ? 1.0 : 0.0)));
+        for (std::size_t col = 0; col < m; ++col) {
+          h.growth = std::max(
+              h.growth, std::abs(static_cast<double>(binv[i * m + col])));
         }
       }
-      if (q == ws.n_aug) continue;  // redundant row: artificial stays at 0
-      ftran(ws, q);
-      const Real alpha_p = ws.alpha.download_value(i);
-      if (std::abs(static_cast<double>(alpha_p)) <= ws.options.pivot_tol) {
-        continue;
-      }
-      if (record::Recorder* rec = opt_.recorder) {
-        record::DecisionRecord r;
-        r.phase = 1;
-        r.iteration = iteration;
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(i);
-        r.leaving_col = ws.basic[i];
-        r.ratio_ties = 1;
-        r.pivot_value = static_cast<double>(alpha_p);
-        rec->record_pivot(r);
-      }
-      pivot(ws, q, i, Real{0}, alpha_p);
+      return h;
     }
-  }
+
+    void drive_out_row(std::size_t i) {
+      e.compute_binv_row(ws, i);
+      ws.at.pivot_row_product(ws.pivot_row, ws.col_work);
+      row_w = ws.col_work.to_host();
+    }
+    [[nodiscard]] double row_weight(std::size_t j) const {
+      return static_cast<double>(row_w[j]);
+    }
+  };
 
   SolveResult& finish(SolveResult& result, SolveStatus status,
                       WallTimer& wall) {

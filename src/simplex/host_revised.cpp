@@ -1,24 +1,17 @@
 #include "simplex/host_revised.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "metrics/health.hpp"
 #include "profile/profile.hpp"
-#include "simplex/basis/basis_oracle.hpp"
-#include "simplex/basis/explicit_inverse.hpp"
-#include "simplex/basis/product_form.hpp"
 #include "simplex/cost_meter.hpp"
+#include "simplex/host_steps.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/primal_driver.hpp"
 #include "support/timer.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
-#include "vblas/containers.hpp"
-#include "vblas/host_ref.hpp"
 
 namespace gs::simplex {
 
@@ -26,146 +19,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Mutable solver state for one solve (all host memory). The basis
-/// representation lives behind the BasisOracle seam: SolverOptions::basis
-/// selects the explicit dense inverse (the default, bit-identical to the
-/// pre-oracle engine) or the product-form/eta scheme.
-struct State {
-  State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
-        CostMeter& meter_in)
-      : aug(aug_in),
-        m(aug_in.m),
-        n_aug(aug_in.n_aug),
-        at(aug_in.dense_at()),
-        cols(at),
-        beta(aug_in.beta_init),
-        pi(m),
-        d(n_aug),
-        alpha(m),
-        colbuf(m),
-        cb(m),
-        basic(aug_in.basic),
-        in_basis(n_aug, false),
-        opt(opt_in),
-        meter(meter_in) {
-    if (opt.basis == BasisScheme::kExplicitInverse) {
-      oracle = std::make_unique<basis::ExplicitInverseOracle>(
-          m, aug.binv_diag, cols, meter, opt);
-    } else {
-      // Both sparse schemes (product-form, lu-factors) map onto the
-      // eta-file oracle on the host: LU factors plus an eta file.
-      oracle = std::make_unique<basis::ProductFormOracle>(m, basic, cols,
-                                                          meter, opt);
-    }
-    for (std::uint32_t col : basic) in_basis[col] = true;
-  }
-
-  [[nodiscard]] bool may_enter(std::size_t j) const {
-    return !in_basis[j] && !aug.is_artificial[j];
-  }
-
-  [[nodiscard]] double objective() const {
-    double z = 0.0;
-    for (std::size_t i = 0; i < m; ++i) z += c[basic[i]] * beta[i];
-    return z;
-  }
-
-  const AugmentedLp& aug;
-  std::size_t m, n_aug;
-  vblas::Matrix<double> at;  ///< A^T augmented (n_aug x m)
-  basis::DenseColumnSource cols;
-  std::unique_ptr<basis::BasisOracle> oracle;
-  std::vector<double> beta, pi, d, alpha;
-  std::vector<double> colbuf, cb;  ///< oracle call scratch
-  std::vector<std::uint32_t> basic;
-  std::vector<bool> in_basis;
-  std::vector<double> c;  ///< current phase costs
-  const SolverOptions& opt;
-  CostMeter& meter;
-};
-
-/// pi = (B^-1)^T c_B via the oracle's BTRAN.
-void btran(State& s) {
-  for (std::size_t i = 0; i < s.m; ++i) s.cb[i] = s.c[s.basic[i]];
-  s.oracle->btran(s.cb, s.pi);
-}
-
-/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise.
-void price(State& s) {
-  for (std::size_t j = 0; j < s.n_aug; ++j) {
-    if (!s.may_enter(j)) {
-      s.d[j] = 0.0;
-      continue;
-    }
-    const auto col = s.at.row(j);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s.m; ++i) acc += col[i] * s.pi[i];
-    s.d[j] = s.c[j] - acc;
-  }
-  s.meter.charge("price_reduced", 2.0 * double(s.n_aug) * double(s.m),
-                 double((s.n_aug * s.m + 3 * s.n_aug) * sizeof(double)));
-}
-
-[[nodiscard]] std::optional<std::size_t> select_entering(const State& s,
-                                                         bool bland) {
-  const double tol = s.opt.opt_tol;
-  if (bland) {
-    for (std::size_t j = 0; j < s.n_aug; ++j) {
-      if (s.d[j] < -tol) return j;
-    }
-    return std::nullopt;
-  }
-  std::size_t best = s.n_aug;
-  double best_d = -tol;
-  for (std::size_t j = 0; j < s.n_aug; ++j) {
-    if (s.d[j] < best_d) {
-      best_d = s.d[j];
-      best = j;
-    }
-  }
-  if (best == s.n_aug) return std::nullopt;
-  return best;
-}
-
-void ftran(State& s, std::size_t q) {
-  for (std::size_t k = 0; k < s.m; ++k) s.colbuf[k] = s.at(q, k);
-  s.oracle->ftran(s.colbuf, s.alpha);
-}
-
-/// Returns (row p, theta) or nullopt when unbounded. Ties break to the
-/// lowest row index (deterministic, Bland-compatible).
-[[nodiscard]] std::optional<std::pair<std::size_t, double>> ratio_test(
-    const State& s) {
-  std::size_t p = s.m;
-  double theta = kInf;
-  for (std::size_t i = 0; i < s.m; ++i) {
-    if (s.alpha[i] > s.opt.pivot_tol) {
-      const double r = s.beta[i] / s.alpha[i];
-      if (r < theta) {
-        theta = r;
-        p = i;
-      }
-    }
-  }
-  s.meter.charge("ratio", double(s.m), double(3 * s.m * sizeof(double)));
-  if (p == s.m) return std::nullopt;
-  return std::make_pair(p, theta);
-}
-
-void pivot(State& s, std::size_t q, std::size_t p, double theta) {
-  for (std::size_t i = 0; i < s.m; ++i) {
-    s.beta[i] = std::max(0.0, s.beta[i] - theta * s.alpha[i]);
-  }
-  s.beta[p] = theta;
-  // Rank-1 update (explicit inverse) or eta append (product form).
-  s.oracle->update(p, s.alpha);
-  s.meter.charge("update_beta", 2.0 * double(s.m),
-                 double(3 * s.m * sizeof(double)));
-  const std::uint32_t leaving = s.basic[p];
-  s.basic[p] = static_cast<std::uint32_t>(q);
-  s.in_basis[leaving] = false;
-  s.in_basis[q] = true;
-}
+using host::State;
 
 /// Post-optimal sensitivity analysis (classical ranging): how far each rhs
 /// and each objective coefficient can move before the optimal basis (rhs)
@@ -259,225 +113,18 @@ void pivot(State& s, std::size_t q, std::size_t p, double theta) {
   return out;
 }
 
-/// HealthMonitor/telemetry sampling hook for the host engine (strided; see
-/// HealthConfig). Probes entries of B·B⁻¹ − I directly from the dense A^T
-/// — column k of B is the constraint column of basic[k], so one probe is
-/// an O(m) dot product — and takes max |B⁻¹| over the probed rows as the
-/// growth estimate. Pure reads; charges nothing to the meter. The health
-/// monitor and the telemetry sink sample on independent strides, so each
-/// consumer is fed only when its own gate fired — attaching telemetry
-/// never changes what the HealthMonitor records.
-void sample_health(const State& s, metrics::HealthMonitor& health,
-                   bool record_health, telemetry::Telemetry* tel,
-                   std::size_t iter) {
-  const std::size_t m = s.m;
-  const std::size_t probes =
-      std::max<std::size_t>(1, health.config().residual_probes);
-  const std::size_t step = std::max<std::size_t>(1, m / probes);
-  double residual = 0.0;
-  double growth = 0.0;
-  std::vector<double> bcol(m), brow(m);
-  for (std::size_t t = 0; t < probes; ++t) {
-    const std::size_t i = (iter + t * step) % m;
-    const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
-    s.oracle->binv_col(j, bcol);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < m; ++k) {
-      acc += s.at(s.basic[k], i) * bcol[k];
-    }
-    const double r = std::abs(acc - (i == j ? 1.0 : 0.0));
-    if (r > residual) residual = r;
-    s.oracle->binv_row(i, brow);
-    for (std::size_t col = 0; col < m; ++col) {
-      const double v = std::abs(brow[col]);
-      if (v > growth) growth = v;
-    }
-  }
-  if (record_health) {
-    health.record_residual(residual, iter);
-    health.record_growth(growth, iter);
-  }
-  if (tel != nullptr) {
-    tel->record("engine.residual_inf", s.meter.sim_seconds(), residual);
-    tel->record("engine.binv_growth", s.meter.sim_seconds(), growth);
-  }
-}
-
-/// Rows tied at the winning ratio, using the exact ratio-test expression
-/// (recorder bookkeeping only; never runs when no recorder is attached).
-[[nodiscard]] std::uint32_t count_ratio_ties(const State& s, double theta) {
-  std::uint32_t ties = 0;
-  for (std::size_t i = 0; i < s.m; ++i) {
-    if (s.alpha[i] > s.opt.pivot_tol && s.beta[i] / s.alpha[i] == theta) {
-      ++ties;
-    }
-  }
-  return ties;
-}
-
 /// Install a caller-provided warm-start basis: gather the basis columns
 /// from A, invert B (Gauss-Jordan, charged as one `warm_init` step), and
 /// accept iff the basis is valid and primal feasible (B⁻¹b ≥ 0). On any
 /// failure the crash basis stays installed and the solve proceeds cold.
 [[nodiscard]] bool try_warm_start(State& s,
                                   const std::vector<std::uint32_t>& basis) {
-  if (basis.size() != s.m) return false;
-  std::vector<bool> used(s.n_aug, false);
-  for (std::uint32_t col : basis) {
-    if (col >= s.n_aug || s.aug.is_artificial[col] || used[col]) return false;
-    used[col] = true;
-  }
+  if (!host::valid_basis(s, basis)) return false;
   std::vector<double> beta;
   if (!s.oracle->warm_start(basis, s.aug.b, beta)) return false;
   s.beta = std::move(beta);
-  s.basic.assign(basis.begin(), basis.end());
-  std::fill(s.in_basis.begin(), s.in_basis.end(), false);
-  for (const std::uint32_t col : s.basic) s.in_basis[col] = true;
+  s.set_basis(basis);
   return true;
-}
-
-enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
-
-LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
-                  metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
-                  std::uint8_t phase) {
-  const trace::Track& tr = s.meter.trace();
-  const auto clock = [&s] { return s.meter.sim_seconds(); };
-  // Per-op laps on the meter's simulated clock, advancing at op
-  // boundaries — the metrics mirror of the trace's op spans.
-  const bool om_on = om.enabled();
-  double lap = 0.0;
-  const auto lap_observe = [&](metrics::SimplexOp op) {
-    if (!om_on) return;
-    const double now = s.meter.sim_seconds();
-    om.observe(op, now - lap);
-    lap = now;
-  };
-  double z = s.objective();
-  std::size_t since_improve = 0;
-  for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        s.opt.pricing == PricingRule::kBland ||
-        (s.opt.pricing == PricingRule::kHybrid &&
-         since_improve >= s.opt.degeneracy_window);
-    trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
-                                {{"iter", static_cast<double>(iter)}});
-    if (om_on) lap = s.meter.sim_seconds();
-    std::optional<std::size_t> entering;
-    {
-      trace::ScopedSpan op(tr, "price", clock, "op");
-      btran(s);
-      price(s);
-      entering = select_entering(s, bland);
-    }
-    lap_observe(metrics::SimplexOp::kPrice);
-    if (!entering.has_value()) return LoopExit::kOptimal;
-    const std::size_t q = *entering;
-    const double d_q = s.d[q];
-    {
-      trace::ScopedSpan op(tr, "ftran", clock, "op");
-      ftran(s, q);
-    }
-    lap_observe(metrics::SimplexOp::kFtran);
-    std::optional<std::pair<std::size_t, double>> leave;
-    {
-      trace::ScopedSpan op(tr, "ratio", clock, "op");
-      leave = ratio_test(s);
-    }
-    lap_observe(metrics::SimplexOp::kRatio);
-    if (!leave.has_value()) return LoopExit::kUnbounded;
-    const auto [p, theta] = *leave;
-    const double alpha_p = s.alpha[p];
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord r;
-      r.phase = phase;
-      r.bland = bland ? 1 : 0;
-      r.iteration = stats.iterations;  // global pivot ordinal, pre-increment
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(p);
-      r.leaving_col = s.basic[p];
-      r.ratio_ties = count_ratio_ties(s, theta);
-      r.reduced_cost = d_q;
-      r.pivot_value = alpha_p;
-      r.theta = theta;
-      rec->record_pivot(r);
-    }
-    {
-      trace::ScopedSpan op(tr, "update", clock, "op");
-      pivot(s, q, p, theta);
-    }
-    lap_observe(metrics::SimplexOp::kUpdate);
-    ++stats.iterations;
-    // Product-form refactorization: fold the eta file back into a fresh
-    // sparse LU when the interval or growth trigger fires (the explicit
-    // oracle only fires on an opt-in refactor_period). A singular basis
-    // here keeps the eta file; the representation stays exact either way.
-    if (s.oracle->wants_refactor()) {
-      trace::ScopedSpan op(tr, "refactor", clock, "op");
-      if (s.oracle->refactorize(s.basic)) {
-        if (record::Recorder* rec = s.opt.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-    }
-    om.count_iteration();
-    health.record_pivot(alpha_p, theta, bland, iter);
-    telemetry::Telemetry* tel = s.opt.telemetry;
-    const bool want_health = health.want_residual_sample(iter);
-    const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
-    if (want_health || want_tel) {
-      sample_health(s, health, want_health, want_tel ? tel : nullptr, iter);
-    }
-    const double new_z = z + theta * d_q;
-    if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
-    z = new_z;
-    if (tr.enabled()) tr.counter("objective", s.meter.sim_seconds(), z);
-    if (want_tel) tel->record("engine.objective", s.meter.sim_seconds(), z);
-  }
-  return LoopExit::kIterationLimit;
-}
-
-/// Post-phase-1 cleanup: replace zero-level basic artificials where a
-/// non-artificial pivot exists; redundant rows keep theirs at level zero.
-/// `iteration` is the pivot ordinal stamped on recorded drive-out pivots.
-void drive_out_artificials(State& s, std::uint64_t iteration) {
-  for (std::size_t i = 0; i < s.m; ++i) {
-    if (!s.aug.is_artificial[s.basic[i]]) continue;
-    std::size_t q = s.n_aug;
-    std::vector<double> brow(s.m);
-    s.oracle->binv_row(i, brow);
-    for (std::size_t j = 0; j < s.aug.n; ++j) {
-      if (s.in_basis[j]) continue;
-      const auto col = s.at.row(j);
-      double acc = 0.0;
-      for (std::size_t r = 0; r < s.m; ++r) acc += col[r] * brow[r];
-      if (std::abs(acc) > 1e-7) {
-        q = j;
-        break;
-      }
-    }
-    s.meter.charge("driveout_row", 2.0 * double(s.aug.n) * double(s.m),
-                   double((s.aug.n * s.m) * sizeof(double)));
-    if (q == s.n_aug) continue;
-    ftran(s, q);
-    if (std::abs(s.alpha[i]) <= s.opt.pivot_tol) continue;
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord r;
-      r.phase = 1;
-      r.iteration = iteration;
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(i);
-      r.leaving_col = s.basic[i];
-      r.ratio_ties = 1;
-      r.pivot_value = s.alpha[i];
-      rec->record_pivot(r);
-    }
-    pivot(s, q, i, 0.0);
-  }
 }
 
 }  // namespace
@@ -494,37 +141,18 @@ SolveResult HostRevisedSimplex::solve_standard(
                   profile::chain(options_.profiler, options_.trace_sink,
                                  trace::kHostPid, model_),
                   options_.metrics);
-  // Solver-level metrics live for the whole solve (not per run_loop call)
-  // so stall streaks and Bland activations span the phase boundary.
-  metrics::SimplexOpMetrics op_metrics;
-  op_metrics.attach(options_.metrics);
-  metrics::HealthMonitor health(options_.metrics, options_.health);
   const trace::Track& tr = meter.trace();
   const auto clock = [&meter] { return meter.sim_seconds(); };
   if (tr.enabled()) tr.name_thread("host-revised");
   trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
   const AugmentedLp aug = augment(sf);
   State state(aug, options_, meter);
-  record::Recorder* rec = options_.recorder;
-  if (rec != nullptr) {
+  if (record::Recorder* rec = options_.recorder) {
     rec->begin_solve("host-revised", 64, aug.m, aug.n_aug,
                      decision_digest(aug));
   }
 
   SolveResult result;
-  auto finish = [&](SolveStatus status) -> SolveResult {
-    result.status = status;
-    result.basis = state.basic;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = meter.stats();
-    result.stats.sim_seconds = meter.sim_seconds();
-    if (rec != nullptr) {
-      rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                     options_.metrics ? options_.metrics->warnings_total() : 0,
-                     state.basic);
-    }
-    return result;
-  };
 
   // Warm start: a feasible caller-provided basis replaces the crash basis
   // and skips phase 1 outright (feasibility is what phase 1 buys).
@@ -533,53 +161,16 @@ SolveResult HostRevisedSimplex::solve_standard(
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
   }
 
-  std::size_t budget = options_.max_iterations;
-  if (aug.num_artificial > 0 && !result.stats.warm_started) {
-    trace::ScopedSpan phase_span(tr, "phase1", clock, "phase");
-    if (rec != nullptr) rec->begin_phase(1);
-    state.c = aug.c_phase1;
-    const LoopExit exit =
-        run_loop(state, budget, result.stats, op_metrics, health, 1);
-    result.stats.phase1_iterations = result.stats.iterations;
-    if (exit == LoopExit::kIterationLimit) {
-      return finish(SolveStatus::kIterationLimit);
-    }
-    if (exit == LoopExit::kUnbounded) {
-      return finish(SolveStatus::kNumericalTrouble);
-    }
-    const double feas_tol =
-        1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-    if (state.objective() > feas_tol) {
-      return finish(SolveStatus::kInfeasible);
-    }
-    drive_out_artificials(state, result.stats.iterations);
-    budget -= std::min(budget, result.stats.iterations);
+  host::Steps steps{state};
+  PrimalDriver driver(steps, aug, options_, result.stats);
+  const SolveStatus status =
+      driver.run_phases(aug.num_artificial > 0 && !result.stats.warm_started);
+  if (status != SolveStatus::kOptimal) {
+    return host::finish(state, wall, status, result);
   }
-
-  LoopExit exit;
-  {
-    trace::ScopedSpan phase_span(tr, "phase2", clock, "phase");
-    if (rec != nullptr) rec->begin_phase(2);
-    state.c = aug.c_phase2;
-    exit = run_loop(state, budget, result.stats, op_metrics, health, 2);
-  }
-  if (exit == LoopExit::kUnbounded) return finish(SolveStatus::kUnbounded);
-  if (exit == LoopExit::kIterationLimit) {
-    return finish(SolveStatus::kIterationLimit);
-  }
-
-  std::vector<double> x_std(aug.n, 0.0);
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    if (state.basic[i] < aug.n) x_std[state.basic[i]] = state.beta[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
-  // state.pi holds the optimal simplex multipliers from the final pricing.
-  result.y = sf.recover_duals(state.pi);
+  host::recover_solution(state, sf, result);
   if (options_.ranging) result.ranging = compute_ranging(state, sf);
-  return finish(SolveStatus::kOptimal);
+  return host::finish(state, wall, SolveStatus::kOptimal, result);
 }
 
 }  // namespace gs::simplex

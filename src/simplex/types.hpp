@@ -65,14 +65,12 @@ enum class PricingRule {
 enum class BasisScheme {
   kExplicitInverse,  ///< dense B^-1, rank-1 Gauss-Jordan update (the paper's)
   kProductForm,      ///< eta file + periodic reinversion
-  kLuFactors,        ///< LU factors + eta file; FTRAN/BTRAN as blocked trsv
 };
 
 [[nodiscard]] constexpr std::string_view to_string(BasisScheme b) noexcept {
   switch (b) {
     case BasisScheme::kExplicitInverse: return "explicit-inverse";
     case BasisScheme::kProductForm: return "product-form";
-    case BasisScheme::kLuFactors: return "lu-factors";
   }
   return "?";
 }

@@ -15,6 +15,9 @@
 #      mismatches and reproduces the same solve.
 #   3. A float-vs-double pair on data/precision_tie.lp diverges at pivot 0
 #      and `lp_cli --diff` says so.
+#   4. An unknown --engine/--basis/--pricing/--scale/--device value is a
+#      usage error (exit 1, accepted values listed), never a silent
+#      fallback to the default.
 set -u
 LP_CLI=$1
 DATA=$2
@@ -85,5 +88,16 @@ diff expected.txt got.txt >/dev/null \
   || { cat diff.out >&2; fail "--diff exited nonzero"; }
 grep -q 'diverge at pivot 0' diff.out \
   || { cat diff.out >&2; fail "--diff did not report divergence at pivot 0"; }
+
+# Unknown option values are rejected.
+for bad in "--engine dula" "--basis lu" "--pricing dantzg" "--scale log" \
+           "--device gtx9000"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$LP_CLI" --gen $GEN $bad >bad.out 2>bad.err
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "$bad: exit $rc, expected 1 (unknown value)"
+  grep -q 'accepted:' bad.err \
+    || fail "$bad: the error does not list the accepted values"
+done
 
 echo "cli_observability: all checks passed"

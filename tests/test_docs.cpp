@@ -188,4 +188,14 @@ TEST(Docs, BasisOracleSectionIsDocumented) {
   EXPECT_NE(readme.find("DualRevisedSimplex"), std::string::npos);
 }
 
+// DESIGN.md documents the one primal iteration skeleton and what a step
+// set owns, next to the basis oracles it drives.
+TEST(Docs, PrimalDriverSectionIsDocumented) {
+  const fs::path root(GS_SOURCE_DIR);
+  const std::string design = read_file(root / "DESIGN.md");
+  EXPECT_NE(design.find("## Primal driver"), std::string::npos);
+  EXPECT_NE(design.find("primal_driver.hpp"), std::string::npos);
+  EXPECT_NE(design.find("step set"), std::string::npos);
+}
+
 }  // namespace

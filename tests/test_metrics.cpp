@@ -6,6 +6,7 @@
 // fails here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "lp/generators.hpp"
 #include "metrics/health.hpp"
 #include "metrics/metrics.hpp"
+#include "record/record.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
 
@@ -290,6 +292,57 @@ TEST(MetricsSolve, HostEngineChargesCpuStepMetrics) {
               result.stats.device_stats.kernel_seconds, 1e-12);
   EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(),
                    double(result.stats.iterations));
+}
+
+// The dual engine's primal cleanup runs the shared primal driver, so a
+// pure-'<=' solve (all cleanup) charges the same op histograms and health
+// samples as the host engine.
+TEST(MetricsSolve, DualEngineChargesOpHistogramsAndHealth) {
+  metrics::MetricsRegistry reg;
+  simplex::SolverOptions opt;
+  opt.metrics = &reg;
+  const auto result = simplex::DualRevisedSimplex(opt).solve(tiny_lp());
+  ASSERT_TRUE(result.optimal());
+  const double iters = double(result.stats.iterations);
+  ASSERT_GT(iters, 0.0);
+  EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(), iters);
+  const auto& hist = reg.histograms();
+  // The final pricing pass finds no candidate: one more price than pivots.
+  EXPECT_EQ(double(hist.at("simplex.op_seconds.price").count()), iters + 1);
+  for (const char* op : {"ftran", "ratio", "update"}) {
+    EXPECT_EQ(double(hist.at(std::string("simplex.op_seconds.") + op).count()),
+              iters)
+        << op;
+  }
+  EXPECT_TRUE(reg.gauge("health.residual_inf").has_value());
+}
+
+// Every refactorization lands in simplex.op_seconds.refactor: one lap per
+// kRefactor record, on the host engine and the device engine alike.
+TEST(MetricsSolve, RefactorLapsMatchRecordedRefactors) {
+  const lp::LpProblem problem =
+      lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 4});
+  for (const simplex::Engine engine :
+       {simplex::Engine::kHostRevised, simplex::Engine::kDeviceRevised}) {
+    metrics::MetricsRegistry reg;
+    record::Recorder rec;
+    simplex::SolverOptions opt;
+    opt.metrics = &reg;
+    opt.recorder = &rec;
+    opt.basis = simplex::BasisScheme::kProductForm;
+    opt.reinversion_period = 8;
+    const auto result = simplex::solve(problem, engine, opt);
+    ASSERT_TRUE(result.optimal()) << to_string(engine);
+    const auto& records = rec.recording().records;
+    const auto refactors = std::count_if(
+        records.begin(), records.end(), [](const record::DecisionRecord& r) {
+          return r.kind == record::RecordKind::kRefactor;
+        });
+    EXPECT_GT(refactors, 0) << to_string(engine);
+    EXPECT_EQ(reg.histograms().at("simplex.op_seconds.refactor").count(),
+              static_cast<std::uint64_t>(refactors))
+        << to_string(engine);
+  }
 }
 
 TEST(MetricsSolve, BatchEngineRecordsRoundsAndActiveGauge) {

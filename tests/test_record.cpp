@@ -8,6 +8,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "lp/generators.hpp"
 #include "record/record.hpp"
@@ -354,6 +356,59 @@ TEST(RecordDiff, DifferentProblemsAreNotComparable) {
 // ---------------------------------------------------------------------
 // Post-mortem dumps.
 // ---------------------------------------------------------------------
+
+// On pure-'<=' instances the slack crash basis is primal feasible, so the
+// dual engine's whole solve is its primal cleanup: the host engine's
+// phase 2 through the same primal driver. The recordings must agree pivot
+// for pivot under the Bland and hybrid rules.
+TEST(RecordDiff, DualCleanupMatchesHostPivotForPivot) {
+  const std::vector<lp::LpProblem> corpus = {
+      lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 3}),
+      lp::random_sparse_lp(
+          {.rows = 96, .cols = 192, .density = 0.02, .seed = 7}),
+      lp::klee_minty(8), lp::beale_cycling()};
+  for (const simplex::PricingRule pricing :
+       {simplex::PricingRule::kHybrid, simplex::PricingRule::kBland}) {
+    for (const lp::LpProblem& problem : corpus) {
+      record::Recorder host_rec, dual_rec;
+      simplex::SolverOptions opt;
+      opt.pricing = pricing;
+      opt.recorder = &host_rec;
+      const auto host =
+          simplex::solve(problem, simplex::Engine::kHostRevised, opt);
+      opt.recorder = &dual_rec;
+      const auto dual =
+          simplex::solve(problem, simplex::Engine::kDualRevised, opt);
+      const std::string label =
+          problem.name() + " / " + std::string(to_string(pricing));
+      ASSERT_TRUE(host.optimal()) << label;
+      ASSERT_TRUE(dual.optimal()) << label;
+      const record::DiffResult dr =
+          record::diff(host_rec.recording(), dual_rec.recording());
+      EXPECT_TRUE(dr.comparable) << label;
+      EXPECT_FALSE(dr.diverged) << label << ": " << dr.describe();
+      EXPECT_EQ(host_rec.recording().records.size(),
+                dual_rec.recording().records.size())
+          << label;
+      EXPECT_EQ(host.stats.iterations, dual.stats.iterations) << label;
+    }
+  }
+}
+
+// Under plain Dantzig the dual engine's cleanup keeps its documented
+// hybrid Bland fallback, so Beale's instance terminates; the host engine
+// takes Dantzig literally and cycles until its iteration limit.
+TEST(RecordDiff, DualCleanupKeepsBlandFallbackUnderDantzig) {
+  simplex::SolverOptions opt;
+  opt.pricing = simplex::PricingRule::kDantzig;
+  opt.max_iterations = 5000;
+  const lp::LpProblem beale = lp::beale_cycling();
+  const auto dual = simplex::solve(beale, simplex::Engine::kDualRevised, opt);
+  EXPECT_EQ(dual.status, simplex::SolveStatus::kOptimal);
+  EXPECT_EQ(dual.stats.iterations, 42u);
+  const auto host = simplex::solve(beale, simplex::Engine::kHostRevised, opt);
+  EXPECT_EQ(host.status, simplex::SolveStatus::kIterationLimit);
+}
 
 TEST(RecordPostMortem, DumpsReplayableWindowOnIterationLimit) {
   const auto path =

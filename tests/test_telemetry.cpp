@@ -264,6 +264,22 @@ TEST(TelemetryEngine, HostSolveRecordsSeries) {
                    result.objective);
 }
 
+// tiny_lp is pure '<=', so the dual engine's crash basis is primal
+// feasible and its whole solve is the primal cleanup, which runs the
+// shared primal driver and so samples the same series as the host.
+TEST(TelemetryEngine, DualSolveRecordsSeries) {
+  telemetry::Telemetry tel;
+  simplex::SolverOptions opt;
+  opt.telemetry = &tel;
+  const auto result = simplex::DualRevisedSimplex(opt).solve(tiny_lp());
+  ASSERT_TRUE(result.optimal());
+  ASSERT_GT(result.stats.iterations, 0u);
+  ASSERT_TRUE(tel.series().contains("engine.objective"));
+  ASSERT_TRUE(tel.series().contains("engine.residual_inf"));
+  EXPECT_DOUBLE_EQ(tel.series().at("engine.objective").points().back().v,
+                   result.objective);
+}
+
 // Attaching telemetry must not change a single pivot or modeled cost:
 // the recorder sees identical decision streams and DeviceStats matches
 // bit-for-bit (EXPECT_EQ on doubles is deliberate).
@@ -312,6 +328,28 @@ TEST(TelemetryEngine, HostSolveIsBitIdenticalWithTelemetryAttached) {
   EXPECT_TRUE(dr.comparable);
   EXPECT_FALSE(dr.diverged);
   EXPECT_EQ(plain.objective, with_tel.objective);
+  EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
+}
+
+TEST(TelemetryEngine, DualSolveIsBitIdenticalWithTelemetryAttached) {
+  record::Recorder plain_rec, tel_rec;
+  simplex::SolverOptions plain_opt;
+  plain_opt.recorder = &plain_rec;
+  const auto plain = simplex::DualRevisedSimplex(plain_opt).solve(tiny_lp());
+
+  telemetry::Telemetry tel;
+  simplex::SolverOptions tel_opt;
+  tel_opt.recorder = &tel_rec;
+  tel_opt.telemetry = &tel;
+  const auto with_tel = simplex::DualRevisedSimplex(tel_opt).solve(tiny_lp());
+
+  const record::DiffResult dr =
+      record::diff(plain_rec.recording(), tel_rec.recording());
+  EXPECT_TRUE(dr.comparable);
+  EXPECT_FALSE(dr.diverged);
+  EXPECT_EQ(plain.objective, with_tel.objective);
+  EXPECT_EQ(plain.x, with_tel.x);
+  EXPECT_EQ(plain.stats.iterations, with_tel.stats.iterations);
   EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
 }
 
