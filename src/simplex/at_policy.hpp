@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -21,6 +22,7 @@
 #include "simplex/phase_setup.hpp"
 #include "sparse/device_csr.hpp"
 #include "vblas/containers.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/primitives.hpp"
@@ -202,15 +204,9 @@ class DenseAt {
         {2.0 * double(m) * double(m),
          double((m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          at.read_range(q * m, q * m + m);
-          const Real* aq = at.data() + q * m;
-          for (std::size_t i = lo; i < hi; ++i) {
-            bs.read_range(i * m, i * m + m);
-            const Real* row = bs.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
-            as[i] = acc;
-          }
+          BlockDots dots;
+          binv_rows_dot_aq(at, bs, q, lo, hi, dots);
+          for (std::size_t i = lo; i < hi; ++i) as[i] = dots[i - lo];
         });
   }
 
@@ -253,17 +249,7 @@ class DenseAt {
          double((n * m + 6 * n + m) * sizeof(Real)), sizeof(Real)},
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           // Reduced costs, exactly as price() computes them.
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (ms[j] == Real{0}) {
-              ds[j] = Real{0};
-              continue;
-            }
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
-            ds[j] = cs[j] - acc;
-          }
+          sweep_block(at, ys, cs, ms, ds, lo, hi);
           // Rule-specific selection over this block's columns.
           std::size_t best = vgpu::detail::kNoIndex;
           Real val{0};
@@ -323,13 +309,10 @@ class DenseAt {
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
           const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          at.read_range(q * m, q * m + m);
-          const Real* aq = at.data() + q * m;
+          BlockDots dots;
+          binv_rows_dot_aq(at, bs, q, lo, hi, dots);
           for (std::size_t i = lo; i < hi; ++i) {
-            bs.read_range(i * m, i * m + m);
-            const Real* row = bs.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
+            const Real acc = dots[i - lo];
             as[i] = acc;
             rs[i] = acc > pivot_tol ? be[i] / acc : kRInf;
           }
@@ -369,21 +352,23 @@ class DenseAt {
          double((n * m + 4 * n + m) * sizeof(Real)), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           const Real wq = wsp[q];
+          BlockCols cols;
+          BlockDots dots;
+          std::size_t count = 0;
           for (std::size_t j = lo; j < hi; ++j) {
             if (j == leaving) {
               // The leaving variable re-enters the nonbasic pool with the
               // reference weight of the pivot (its mask is still 0 here).
               wsp[j] = std::max(wq / (alpha_p * alpha_p), Real{1});
-              continue;
+            } else if (ms[j] != Real{0}) {
+              cols[count++] = static_cast<std::uint32_t>(j);
             }
-            if (ms[j] == Real{0}) continue;
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ps[i];
-            const Real t = acc / alpha_p;
+          }
+          column_dots(at, ps, cols, count, dots);
+          for (std::size_t k = 0; k < count; ++k) {
+            const Real t = dots[k] / alpha_p;
             const Real cand = t * t * wq;
-            if (cand > wsp[j]) wsp[j] = cand;
+            if (cand > wsp[cols[k]]) wsp[cols[k]] = cand;
           }
         });
   }
@@ -415,18 +400,68 @@ class DenseAt {
         {2.0 * double(n_aug_) * double(m),
          double((n_aug_ * m + 3 * n_aug_ + m) * sizeof(Real)), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (mask && ms[j] == Real{0}) {
-              os[j] = Real{0};
-              continue;
-            }
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
-            os[j] = c ? cs[j] - acc : acc;
-          }
+          sweep_block(at, ys, cs, ms, os, lo, hi);
         });
+  }
+
+  /// One block of the column sweep: out_j = c_j - a_j . y for j in
+  /// [lo, hi), 0 where mask_j == 0. An empty `mask` sweeps every column;
+  /// an empty `c` writes the plain products a_j . y.
+  void sweep_block(const vgpu::check::CheckedSpan<const Real>& at,
+                   const vgpu::check::CheckedSpan<const Real>& y,
+                   const vgpu::check::CheckedSpan<const Real>& c,
+                   const vgpu::check::CheckedSpan<const Real>& mask,
+                   const vgpu::check::CheckedSpan<Real>& out, std::size_t lo,
+                   std::size_t hi) const {
+    BlockCols cols;
+    BlockDots dots;
+    std::size_t count = 0;
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (!mask.empty() && mask[j] == Real{0}) {
+        out[j] = Real{0};
+      } else {
+        cols[count++] = static_cast<std::uint32_t>(j);
+      }
+    }
+    column_dots(at, y, cols, count, dots);
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t j = cols[t];
+      out[j] = c.empty() ? dots[t] : c[j] - dots[t];
+    }
+  }
+
+  /// One block's worth of swept column indices / dot products.
+  using BlockCols = std::array<std::uint32_t, vgpu::Device::kBlockSize>;
+  using BlockDots = std::array<Real, vgpu::Device::kBlockSize>;
+
+  /// dots[t] = a_{cols[t]} . y for the block's first `count` listed
+  /// columns. Footprint in bulk: each swept column once, and y once — only
+  /// when the block sweeps a column, so a fully masked block reads no y.
+  void column_dots(const vgpu::check::CheckedSpan<const Real>& at,
+                   const vgpu::check::CheckedSpan<const Real>& y,
+                   const BlockCols& cols, std::size_t count,
+                   BlockDots& dots) const {
+    if (count == 0) return;
+    const std::size_t m = m_;
+    for (std::size_t t = 0; t < count; ++t) {
+      at.read_range(cols[t] * m, (cols[t] + std::size_t{1}) * m);
+    }
+    y.read_range(0, m);
+    vblas::dot_rows(at.data(), m,
+                    std::span<const std::uint32_t>(cols.data(), count),
+                    y.data(), m, dots.data());
+  }
+
+  /// dots[i - lo] = row_i(B^-1) . a_q for the block's rows [lo, hi), with
+  /// the rows and a_q annotated once each.
+  void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& at,
+                        const vgpu::check::CheckedSpan<const Real>& bs,
+                        std::size_t q, std::size_t lo, std::size_t hi,
+                        BlockDots& dots) const {
+    const std::size_t m = m_;
+    at.read_range(q * m, q * m + m);
+    bs.read_range(lo * m, hi * m);
+    vblas::dot_rows(bs.data(), m, lo, hi, at.data() + q * m, m, dots.data());
   }
 
   std::size_t m_, n_aug_;

@@ -18,6 +18,7 @@
 #include "simplex/types.hpp"
 #include "support/error.hpp"
 #include "vblas/containers.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vblas/host_ref.hpp"
 
 namespace gs::simplex::basis {
@@ -40,24 +41,13 @@ class ExplicitInverseOracle final : public BasisOracle {
 
   /// pi = (B^-1)^T c_B, accumulated row-wise for cache-friendly access.
   void btran(std::span<const double> cb, std::span<double> pi) override {
-    for (std::size_t j = 0; j < m_; ++j) pi[j] = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double cbi = cb[i];
-      if (cbi == 0.0) continue;
-      const auto row = binv_.row(i);
-      for (std::size_t j = 0; j < m_; ++j) pi[j] += cbi * row[j];
-    }
+    btran_raw(cb, pi);
     meter_->charge("price_btran", 2.0 * double(m_) * double(m_),
                    double((m_ * m_ + 2 * m_) * sizeof(double)));
   }
 
   void ftran(std::span<const double> col, std::span<double> alpha) override {
-    for (std::size_t i = 0; i < m_; ++i) {
-      const auto row = binv_.row(i);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m_; ++k) acc += row[k] * col[k];
-      alpha[i] = acc;
-    }
+    ftran_raw(col, alpha);
     meter_->charge("ftran", 2.0 * double(m_) * double(m_),
                    double((m_ * m_ + 2 * m_) * sizeof(double)));
   }
@@ -73,7 +63,7 @@ class ExplicitInverseOracle final : public BasisOracle {
       } else {
         const double f = alpha[i] / alpha_p;
         if (f == 0.0) continue;
-        for (std::size_t j = 0; j < m_; ++j) row[j] -= f * prow[j];
+        vblas::axpy(-f, prow.data(), row.data(), m_);
       }
     }
     meter_->charge("update_binv", 2.0 * double(m_) * double(m_),
@@ -89,11 +79,7 @@ class ExplicitInverseOracle final : public BasisOracle {
       return false;  // singular basis: stale snapshot of a different family
     }
     std::vector<double> beta(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < m_; ++j) acc += binv(i, j) * b[j];
-      beta[i] = acc;
-    }
+    vblas::dot_rows(binv.flat().data(), m_, 0, m_, b.data(), m_, beta.data());
     for (const double v : beta) {
       if (v < -1e-9) return false;  // primal infeasible here: cold solve
     }
@@ -127,12 +113,8 @@ class ExplicitInverseOracle final : public BasisOracle {
 
   void ftran_raw(std::span<const double> col,
                  std::span<double> out) const override {
-    for (std::size_t i = 0; i < m_; ++i) {
-      const auto row = binv_.row(i);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m_; ++k) acc += row[k] * col[k];
-      out[i] = acc;
-    }
+    vblas::dot_rows(binv_.flat().data(), m_, 0, m_, col.data(), m_,
+                    out.data());
   }
 
   void btran_raw(std::span<const double> cb,
@@ -141,8 +123,7 @@ class ExplicitInverseOracle final : public BasisOracle {
     for (std::size_t i = 0; i < m_; ++i) {
       const double cbi = cb[i];
       if (cbi == 0.0) continue;
-      const auto row = binv_.row(i);
-      for (std::size_t j = 0; j < m_; ++j) out[j] += cbi * row[j];
+      vblas::axpy(cbi, binv_.row(i).data(), out.data(), m_);
     }
   }
 

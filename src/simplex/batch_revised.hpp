@@ -16,6 +16,8 @@
 // (and are still paid for) until the whole batch terminates.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <limits>
 #include <span>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "simplex/types.hpp"
 #include "support/timer.hpp"
 #include "trace/trace.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 
@@ -206,21 +209,30 @@ class BatchRevisedSimplex {
           tr, "iteration", clock, "iteration",
           {{"iter", static_cast<double>(iter)},
            {"active", static_cast<double>(n_active)}});
-      // -- BTRAN: pi_k = (B_k^-1)^T cB_k, fused over K*m lanes. --
+      // -- BTRAN: pi_k = (B_k^-1)^T cB_k, fused over K*m lanes. Each lane
+      // j sums cb_i * binv(i, j) over i = 0..m-1 from 0, zero cb_i
+      // included; the block walks B_k^-1 row-wise (one axpy per row over
+      // its lanes) instead of down a stride-m column per lane. --
       dev_.launch_blocks(
           "batch_btran", batch * m, vgpu::Device::kBlockSize,
           {2.0 * double(batch) * double(m) * double(m),
            double(batch * (m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
           [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, j = g % m;
-              if (act_s[k] == Real{0}) continue;
-              Real acc{0};
+            for_each_problem(lo, hi, m, [&](std::size_t k, std::size_t j0,
+                                            std::size_t j1) {
+              if (act_s[k] == Real{0}) return;
+              std::array<Real, vgpu::Device::kBlockSize> acc{};
+              cb_s.read_range(k * m, (k + 1) * m);
               for (std::size_t i = 0; i < m; ++i) {
-                acc += cb_s[k * m + i] * binv_s[k * m * m + i * m + j];
+                const std::size_t row = k * m * m + i * m;
+                binv_s.read_range(row + j0, row + j1);
+                vblas::axpy(cb_s.data()[k * m + i], binv_s.data() + row + j0,
+                            acc.data(), j1 - j0);
               }
-              pi_s[g] = acc;
-            }
+              pi_s.write_range(k * m + j0, k * m + j1);
+              std::copy(acc.begin(), acc.begin() + std::ptrdiff_t(j1 - j0),
+                        pi_s.data() + k * m + j0);
+            });
           });
       // -- Pricing: d over K*n lanes. --
       dev_.launch_blocks(
@@ -228,18 +240,29 @@ class BatchRevisedSimplex {
           {2.0 * double(batch) * double(n) * double(m),
            double(batch * (n * m + 3 * n) * sizeof(Real)), sizeof(Real)},
           [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / n, j = g % n;
-              if (act_s[k] == Real{0} || mask_s[g] == Real{0}) {
-                d_s[g] = Real{0};
-                continue;
+            for_each_problem(lo, hi, n, [&](std::size_t k, std::size_t j0,
+                                            std::size_t j1) {
+              std::array<std::uint32_t, vgpu::Device::kBlockSize> cols;
+              std::array<Real, vgpu::Device::kBlockSize> dots;
+              const bool active_k = act_s[k] != Real{0};
+              std::size_t count = 0;
+              for (std::size_t j = j0; j < j1; ++j) {
+                if (!active_k || mask_s[k * n + j] == Real{0}) {
+                  d_s[k * n + j] = Real{0};
+                } else {
+                  cols[count++] = static_cast<std::uint32_t>(j);
+                  at_s.read_range(k * n * m + j * m, k * n * m + (j + 1) * m);
+                }
               }
-              at_s.read_range(k * n * m + j * m, k * n * m + (j + 1) * m);
-              const Real* col = at_s.data() + k * n * m + j * m;
-              Real acc{0};
-              for (std::size_t i = 0; i < m; ++i) acc += col[i] * pi_s[k * m + i];
-              d_s[g] = c_s[g] - acc;
-            }
+              if (count == 0) return;
+              pi_s.read_range(k * m, (k + 1) * m);
+              vblas::dot_rows(at_s.data() + k * n * m, m,
+                              std::span<const std::uint32_t>(cols.data(), count),
+                              pi_s.data() + k * m, m, dots.data());
+              for (std::size_t t = 0; t < count; ++t) {
+                d_s[k * n + cols[t]] = c_s[k * n + cols[t]] - dots[t];
+              }
+            });
           });
       // -- Entering selection: one lane per problem (segmented argmin). --
       dev_.launch_blocks(
@@ -267,18 +290,17 @@ class BatchRevisedSimplex {
           {2.0 * double(batch) * double(m) * double(m),
            double(batch * (m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
           [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, i = g % m;
-              if (act_s[k] == Real{0} || selq_s[k] == kNone) continue;
+            for_each_problem(lo, hi, m, [&](std::size_t k, std::size_t i0,
+                                            std::size_t i1) {
+              if (act_s[k] == Real{0} || selq_s[k] == kNone) return;
               const std::size_t sq = selq_s[k];
               at_s.read_range(k * n * m + sq * m, k * n * m + (sq + 1) * m);
-              binv_s.read_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-              const Real* aq = at_s.data() + k * n * m + sq * m;
-              const Real* row = binv_s.data() + k * m * m + i * m;
-              Real acc{0};
-              for (std::size_t t = 0; t < m; ++t) acc += row[t] * aq[t];
-              alpha_s[g] = acc;
-            }
+              binv_s.read_range(k * m * m + i0 * m, k * m * m + i1 * m);
+              alpha_s.write_range(k * m + i0, k * m + i1);
+              vblas::dot_rows(binv_s.data() + k * m * m, m, i0, i1,
+                              at_s.data() + k * n * m + sq * m, m,
+                              alpha_s.data() + k * m + i0);
+            });
           });
       dev_.launch_blocks(
           "batch_ratio_select", batch, vgpu::Device::kBlockSize,
@@ -478,6 +500,20 @@ class BatchRevisedSimplex {
   }
 
  private:
+  /// Split the fused lanes [lo, hi) of one block at problem boundaries
+  /// (`width` lanes per problem): seg(k, first, last) receives problem k's
+  /// local lane range [first, last).
+  template <typename Seg>
+  static void for_each_problem(std::size_t lo, std::size_t hi,
+                               std::size_t width, Seg&& seg) {
+    while (lo < hi) {
+      const std::size_t k = lo / width;
+      const std::size_t end = std::min(hi, (k + 1) * width);
+      seg(k, lo - k * width, end - k * width);
+      lo = end;
+    }
+  }
+
   /// Extract one finished problem's solution from the flattened state.
   void finish_problem(SolveResult& result, std::size_t k,
                       const lp::StandardFormLp& sf, const AugmentedLp& aug,

@@ -37,12 +37,60 @@
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vblas/containers.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vblas/host_ref.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/primitives.hpp"
 
 namespace gs::simplex {
+
+/// Block body of the explicit inverse's rank-1 Gauss-Jordan update (the
+/// engine's update_binv and pivot_apply launches) over rows [lo, hi):
+///   row_p = prow / alpha_p;  row_i -= (alpha_i / alpha_p) * prow,
+/// where prow is the saved pre-update pivot row. prow is read through a
+/// raw pointer, annotated once per block and only if a row uses it. Rows
+/// with f == 0 are untouched; with the default round_tol == 0 every other
+/// row is one vectorized axpy.
+template <typename Real>
+void eliminate_rows(const vgpu::check::CheckedSpan<Real>& binv,
+                    vgpu::check::CheckedSpan<const Real> prow,
+                    vgpu::check::CheckedSpan<const Real> asp, std::size_t m,
+                    std::size_t p, Real alpha_p, Real round_tol,
+                    std::size_t lo, std::size_t hi) {
+  const Real* pr = prow.data();
+  bool prow_read = false;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const Real f = i == p ? Real{0} : asp[i] / alpha_p;
+    if (i != p && f == Real{0}) continue;
+    if (!prow_read) {
+      prow.read_range(0, m);
+      prow_read = true;
+    }
+    Real* row = binv.data() + i * m;
+    if (i == p) {
+      binv.write_range(i * m, i * m + m);
+      const Real inv = Real{1} / alpha_p;
+      for (std::size_t j = 0; j < m; ++j) {
+        Real v = pr[j] * inv;
+        if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
+        row[j] = v;
+      }
+      continue;
+    }
+    binv.read_range(i * m, i * m + m);
+    binv.write_range(i * m, i * m + m);
+    if (round_tol > Real{0}) {
+      for (std::size_t j = 0; j < m; ++j) {
+        Real v = row[j] - f * pr[j];
+        if (std::abs(v) < round_tol) v = Real{0};
+        row[j] = v;
+      }
+    } else {
+      vblas::axpy(-f, pr, row, m);
+    }
+  }
+}
 
 template <typename Real, template <typename> class At = DenseAt>
 class DeviceRevisedSimplex {
@@ -326,13 +374,19 @@ class DeviceRevisedSimplex {
         {2.0 * double(rows) * double(m), bytes(rows * m + 2 * m),
          sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) pisp[j] = Real{0};
+          pisp.write_range(lo, hi);
+          Real* pi = pisp.data();
+          for (std::size_t j = lo; j < hi; ++j) pi[j] = Real{0};
+          bool accumulated = false;
           for (std::size_t i = 0; i < m; ++i) {
             const Real yi = ysp[i];
             if (yi == Real{0}) continue;
+            if (!accumulated) {
+              pisp.read_range(lo, hi);
+              accumulated = true;
+            }
             binv.read_range(i * m + lo, i * m + hi);
-            const Real* row = binv.data() + i * m;
-            for (std::size_t j = lo; j < hi; ++j) pisp[j] += yi * row[j];
+            vblas::axpy(yi, binv.data() + i * m + lo, pi + lo, hi - lo);
           }
         });
   }
@@ -499,28 +553,8 @@ class DeviceRevisedSimplex {
         "update_binv", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real* row = binv.data() + i * m;
-            if (i == p) {
-              binv.write_range(i * m, i * m + m);
-              const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = prow[j] * inv;
-                if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-                row[j] = v;
-              }
-            } else {
-              const Real f = asp[i] / alpha_p;
-              if (f == Real{0}) continue;
-              binv.read_range(i * m, i * m + m);
-              binv.write_range(i * m, i * m + m);
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = row[j] - f * prow[j];
-                if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-                row[j] = v;
-              }
-            }
-          }
+          eliminate_rows<Real>(binv, prow, asp, m, p, alpha_p, round_tol, lo,
+                               hi);
         });
   }
 
@@ -552,15 +586,12 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Tile width for the fused elimination inner loop: prow tiles stay hot
-  /// in L1 across consecutive rows of the update.
-  static constexpr std::size_t kEliminationTile = 64;
-
   /// Fused rank-1 update of B^-1 + the pivot's scalar bookkeeping. The
   /// reference path's three upload_value round trips (c_B[p], mask[q] off,
   /// mask[leaving] on) ride along as kernel arguments written by the pivot
-  /// lane — zero per-iteration H2D traffic. The default round_tol == 0
-  /// elimination loop is branch-free and cache-blocked so it vectorizes.
+  /// lane — zero per-iteration H2D traffic. The saved pivot row is read
+  /// through a raw pointer (annotated once per block), so the default
+  /// round_tol == 0 elimination is a branch-free axpy that vectorizes.
   void pivot_apply(Workspace& ws, std::size_t q, std::size_t p, Real alpha_p,
                    Real cb_new, std::size_t leaving, bool unmask_leaving) {
     const std::size_t m = ws.m;
@@ -575,42 +606,13 @@ class DeviceRevisedSimplex {
         {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m + 4),
          sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real* row = binv.data() + i * m;
-            if (i == p) {
-              binv.write_range(i * m, i * m + m);
-              const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = prow[j] * inv;
-                if (round_tol > Real{0} && std::abs(v) < round_tol) {
-                  v = Real{0};
-                }
-                row[j] = v;
-              }
-              // One writer each: the pivot lane owns the scalar pokes.
-              csp[p] = cb_new;
-              msp[q] = Real{0};
-              if (unmask_leaving) msp[leaving] = Real{1};
-            } else {
-              const Real f = asp[i] / alpha_p;
-              if (f == Real{0}) continue;
-              binv.read_range(i * m, i * m + m);
-              binv.write_range(i * m, i * m + m);
-              if (round_tol > Real{0}) {
-                for (std::size_t j = 0; j < m; ++j) {
-                  Real v = row[j] - f * prow[j];
-                  if (std::abs(v) < round_tol) v = Real{0};
-                  row[j] = v;
-                }
-              } else {
-                for (std::size_t j0 = 0; j0 < m; j0 += kEliminationTile) {
-                  const std::size_t j1 = std::min(m, j0 + kEliminationTile);
-                  for (std::size_t j = j0; j < j1; ++j) {
-                    row[j] = row[j] - f * prow[j];
-                  }
-                }
-              }
-            }
+          eliminate_rows<Real>(binv, prow, asp, m, p, alpha_p, round_tol, lo,
+                               hi);
+          if (p >= lo && p < hi) {
+            // One writer each: the pivot lane owns the scalar pokes.
+            csp[p] = cb_new;
+            msp[q] = Real{0};
+            if (unmask_leaving) msp[leaving] = Real{1};
           }
         });
   }
@@ -705,11 +707,11 @@ class DeviceRevisedSimplex {
         {2.0 * double(m) * double(m) * double(m), bytes(3 * m * m),
          sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (std::size_t j = 0; j < m; ++j) {
-              binv[i * m + j] = static_cast<Real>(inv(i, j));
-            }
-          }
+          binv.write_range(lo * m, hi * m);
+          std::transform(inv.flat().begin() + std::ptrdiff_t(lo * m),
+                         inv.flat().begin() + std::ptrdiff_t(hi * m),
+                         binv.data() + lo * m,
+                         [](double v) { return static_cast<Real>(v); });
         });
     ws.etas.clear();
     ws.pivots_since_refactor = 0;
@@ -720,11 +722,12 @@ class DeviceRevisedSimplex {
         "refresh_beta", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
+          std::array<Real, vgpu::Device::kBlockSize> dots;
+          binv.read_range(lo * m, hi * m);
+          bsp.read_range(0, m);
+          vblas::dot_rows(binv.data(), m, lo, hi, bsp.data(), m, dots.data());
           for (std::size_t i = lo; i < hi; ++i) {
-            binv.read_range(i * m, i * m + m);
-            const Real* row = binv.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * bsp[k];
+            const Real acc = dots[i - lo];
             betasp[i] = acc < Real{0} ? Real{0} : acc;
           }
         });

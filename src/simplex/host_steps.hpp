@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "simplex/types.hpp"
 #include "support/timer.hpp"
 #include "vblas/containers.hpp"
+#include "vblas/dot_rows.hpp"
 
 namespace gs::simplex::host {
 
@@ -106,17 +108,29 @@ inline void btran(State& s) {
   s.oracle->btran(s.cb, s.pi);
 }
 
-/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise.
+/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise. Columns are
+/// swept in chunks: the admissible ones of each chunk go through one
+/// blocked dot_rows call.
 inline void price(State& s) {
-  for (std::size_t j = 0; j < s.n_aug; ++j) {
-    if (!s.may_enter(j)) {
-      s.d[j] = 0.0;
-      continue;
+  constexpr std::size_t kChunk = 256;
+  std::array<std::uint32_t, kChunk> cols;
+  std::array<double, kChunk> dots;
+  for (std::size_t lo = 0; lo < s.n_aug; lo += kChunk) {
+    const std::size_t hi = std::min(s.n_aug, lo + kChunk);
+    std::size_t count = 0;
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (s.may_enter(j)) {
+        cols[count++] = static_cast<std::uint32_t>(j);
+      } else {
+        s.d[j] = 0.0;
+      }
     }
-    const auto col = s.at.row(j);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s.m; ++i) acc += col[i] * s.pi[i];
-    s.d[j] = s.c[j] - acc;
+    vblas::dot_rows(s.at.flat().data(), s.m,
+                    std::span<const std::uint32_t>(cols.data(), count),
+                    s.pi.data(), s.m, dots.data());
+    for (std::size_t t = 0; t < count; ++t) {
+      s.d[cols[t]] = s.c[cols[t]] - dots[t];
+    }
   }
   s.meter.charge("price_reduced", 2.0 * double(s.n_aug) * double(s.m),
                  double((s.n_aug * s.m + 3 * s.n_aug) * sizeof(double)));

@@ -350,6 +350,36 @@ TEST(Analyzer, BatchEngineStreamIsGateClean) {
   EXPECT_TRUE(rep.gate_clean()) << rep.summary();
 }
 
+/// The blocked hot kernels at m = 300 (two 256-wide row blocks, three
+/// column blocks): their bulk footprints must still give a stream with no
+/// hazards, no uninitialized reads and no cost drift.
+TEST(Analyzer, BlockedKernelStreamsAreGateCleanAtM300) {
+  const lp::LpProblem p = dense(300, 2);
+  for (const simplex::Engine engine :
+       {simplex::Engine::kDeviceRevised,
+        simplex::Engine::kDeviceRevisedFloat}) {
+    CaptureLog cap;
+    simplex::SolverOptions opt;
+    opt.analyzer = &cap;
+    opt.max_iterations = 8;
+    (void)simplex::solve(p, engine, opt);
+    const Report rep = vgpu::analyze::analyze(cap);
+    EXPECT_TRUE(rep.gate_clean()) << to_string(engine) << "\n"
+                                  << rep.summary();
+    EXPECT_GT(rep.kernel_nodes, 30u);
+  }
+  CaptureLog cap;
+  simplex::SolverOptions opt;
+  opt.analyzer = &cap;
+  opt.max_iterations = 4;
+  vgpu::Device dev(vgpu::gtx280_model());
+  simplex::BatchRevisedSimplex<double> engine(dev, opt);
+  const std::vector<lp::LpProblem> round = {p, dense(300, 3)};
+  (void)engine.solve(round);
+  const Report rep = vgpu::analyze::analyze(cap);
+  EXPECT_TRUE(rep.gate_clean()) << rep.summary();
+}
+
 /// One CaptureLog may span several solves on the same engine (the log
 /// accumulates until reset()).
 TEST(Analyzer, CaptureAccumulatesAcrossSolvesUntilReset) {

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "lp/generators.hpp"
+#include "record/record.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
 
@@ -76,6 +81,46 @@ TEST(Batch, ProblemsFinishingAtDifferentIterationsStayCorrect) {
     ASSERT_EQ(results[k].status, SolveStatus::kOptimal);
     EXPECT_NEAR(results[k].objective, single.objective, 1e-7);
     EXPECT_GT(results[k].stats.iterations, 0u);
+  }
+}
+
+TEST(Batch, DecisionLogMatchesGoldenLog) {
+  // Six m = 50 problems: 300 fused m-lanes and 600 n-lanes, so the
+  // 256-wide blocks of batch_btran/batch_price/batch_ftran straddle
+  // problem boundaries. The committed log and objectives pin every pivot
+  // and every rounding of the fused kernels.
+  std::vector<lp::LpProblem> problems;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    problems.push_back(
+        lp::random_dense_lp({.rows = 50, .cols = 50, .seed = seed}));
+  }
+  record::Recorder rec;
+  SolverOptions opt;
+  opt.recorder = &rec;
+  vgpu::Device dev(vgpu::gtx280_model());
+  BatchRevisedSimplex<double> engine(dev, opt);
+  const auto results = engine.solve(problems);
+
+  const record::Recording golden = record::Recording::read_file(
+      std::string(GS_SOURCE_DIR) + "/data/golden/batch_dense_50x6.gsrec");
+  const record::DiffResult d = record::diff(golden, rec.recording());
+  EXPECT_TRUE(d.comparable) << d.describe();
+  EXPECT_FALSE(d.diverged) << d.describe();
+  EXPECT_EQ(d.max_reduced_cost_delta, 0.0);
+  EXPECT_EQ(d.max_theta_delta, 0.0);
+  std::ostringstream want, got;
+  golden.write(want);
+  rec.recording().write(got);
+  EXPECT_EQ(want.str(), got.str()) << "decision log is not byte-identical";
+
+  const std::uint64_t objective_bits[] = {
+      0xc02d65e5e0970b48ull, 0xc031efdaf6361921ull, 0xc02f950ac8d3e50aull,
+      0xc02e939af61cc181ull, 0xc02a1f59b4964838ull, 0xc031626ac0986a35ull};
+  ASSERT_EQ(results.size(), 6u);
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &results[k].objective, sizeof bits);
+    EXPECT_EQ(bits, objective_bits[k]) << "problem " << k;
   }
 }
 

@@ -8,13 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/generators.hpp"
+#include "simplex/at_policy.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/check/check.hpp"
 #include "vgpu/device.hpp"
@@ -218,6 +224,43 @@ TEST(Checker, DetectsCostUnderdeclaration) {
       has_finding(chk, FindingKind::kCostMismatch, "underdeclared_stream"));
 }
 
+TEST(Checker, BulkRangeAnnotationsStillFeedTheLintAndBounds) {
+  // The blocked hot kernels read B^-1 and A^T through raw pointers and
+  // declare their footprint only in bulk with read_range. A kernel of
+  // that shape that under-declares its cost, or whose annotated range
+  // runs past its span, must still be caught.
+  Device dev(vgpu::gtx280_model());
+  Checker chk;
+  dev.set_checker(&chk);
+  const std::size_t m = 64;
+  DeviceBuffer<double> a(dev, m * m), y(dev, m), out(dev, m);
+  vgpu::fill(a, 0.5);
+  vgpu::fill(y, 2.0);
+  auto as = a.device_span();
+  auto ys = std::as_const(y).device_span();
+  auto os = out.device_span();
+  // 33 KiB of row traffic, 64 bytes declared.
+  dev.launch_blocks(
+      "bulk_underdeclared", m, 16, KernelCost{0.0, 64.0},
+      [&](std::size_t, std::size_t lo, std::size_t hi) {
+        std::array<double, 16> dots{};
+        as.read_range(lo * m, hi * m);
+        ys.read_range(0, m);
+        vblas::dot_rows(as.data(), m, lo, hi, ys.data(), m, dots.data());
+        for (std::size_t i = lo; i < hi; ++i) os[i] = dots[i - lo];
+      });
+  EXPECT_TRUE(
+      has_finding(chk, FindingKind::kCostMismatch, "bulk_underdeclared"));
+  EXPECT_EQ(out.to_host()[5], 64.0);
+  // Each block annotates one row too many: the last block runs off A.
+  dev.launch_blocks("bulk_overrun", m, 16,
+                    KernelCost{0.0, double(2 * m * m * sizeof(double))},
+                    [&](std::size_t, std::size_t lo, std::size_t hi) {
+                      as.read_range(lo * m, (hi + 1) * m);
+                    });
+  EXPECT_TRUE(has_finding(chk, FindingKind::kOutOfBounds, "bulk_overrun"));
+}
+
 TEST(Checker, AccurateDeclarationPassesCostLint) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
@@ -339,17 +382,107 @@ TEST(CheckedEngines, BatchEngineSolvesCleanUnderCheck) {
 }
 
 TEST(CheckedEngines, MultiBlockSolveRunsCleanUnderCheck) {
-  // m = 300 > one 256-thread block, so every m-wide kernel really spans
+  // m = 300 > one 256-thread block and n_aug = 600 spans three, so every
+  // m-wide kernel and every blocked column sweep (dot_rows over masked
+  // column lists and row ranges, the raw-pointer axpys) really crosses
   // block boundaries. A few iterations suffice to sweep every kernel.
   const lp::LpProblem problem = lp::random_dense_lp({.rows = 300, .cols = 300, .seed = 3});
+  {
+    Checker chk;
+    simplex::SolverOptions opt = checked_options(chk);
+    opt.max_iterations = 5;
+    Device dev(vgpu::gtx280_model(), 4);
+    simplex::DeviceRevisedSimplex<double> solver(dev, opt);
+    (void)solver.solve(problem);
+    EXPECT_TRUE(chk.clean()) << chk.report();
+    EXPECT_GT(chk.launches_checked(), 10u);
+  }
+  for (const auto& [engine, pricing] :
+       {std::pair{simplex::Engine::kDeviceRevisedFloat,
+                  simplex::PricingRule::kHybrid},
+        std::pair{simplex::Engine::kDeviceRevised,
+                  simplex::PricingRule::kDevex}}) {
+    Checker chk;
+    simplex::SolverOptions opt = checked_options(chk);
+    opt.pricing = pricing;
+    opt.max_iterations = 5;
+    (void)simplex::solve(problem, engine, opt);
+    EXPECT_TRUE(chk.clean()) << to_string(engine) << ":\n" << chk.report();
+  }
+  // Batch: 2 x 300 fused lanes per m-wide kernel.
+  const std::vector<lp::LpProblem> problems = {
+      problem, lp::random_dense_lp({.rows = 300, .cols = 300, .seed = 2})};
+  Device dev(vgpu::gtx280_model());
   Checker chk;
   simplex::SolverOptions opt = checked_options(chk);
-  opt.max_iterations = 5;
-  Device dev(vgpu::gtx280_model(), 4);
-  simplex::DeviceRevisedSimplex<double> solver(dev, opt);
-  (void)solver.solve(problem);
+  opt.max_iterations = 4;
+  simplex::BatchRevisedSimplex<double> batch(dev, opt);
+  (void)batch.solve(problems);
   EXPECT_TRUE(chk.clean()) << chk.report();
-  EXPECT_GT(chk.launches_checked(), 10u);
+}
+
+/// Sums the element bytes each kernel's spans annotate, per buffer: the
+/// quantity the checker's cost lint compares against declared bytes.
+class TrafficCounter : public vgpu::check::AccessSink {
+ public:
+  void begin_launch(std::string_view kernel, double, double, std::size_t,
+                    std::size_t) override {
+    kernel_ = kernel;
+  }
+  void end_launch() override { kernel_.clear(); }
+  void note_range(const void* base, std::size_t, vgpu::check::ElemKind,
+                  std::size_t elem_size, std::size_t lo, std::size_t hi,
+                  bool is_write) override {
+    if (!kernel_.empty() && !is_write) {
+      read_bytes[{kernel_, base}] += (hi - lo) * elem_size;
+    }
+  }
+  void note_oob(std::size_t, std::size_t, bool) override {}
+
+  std::map<std::pair<std::string, const void*>, std::size_t> read_bytes;
+
+ private:
+  std::string kernel_;
+};
+
+TEST(CheckedEngines, PriceSelectReadsPiOnceFromEachSweepingBlock) {
+  // m = 40 rows, n_aug = 540 columns: three pricing blocks. A block that
+  // prices any column reads pi once (not once per column); a fully masked
+  // block reads none of it.
+  const std::size_t m = 40;
+  const lp::StandardFormLp sf = lp::to_standard_form(
+      lp::random_dense_lp({.rows = m, .cols = 500, .seed = 4}));
+  const simplex::AugmentedLp aug = simplex::augment(sf);
+  const std::size_t n = aug.n_aug;
+  ASSERT_EQ(n, 540u);
+  Device dev(vgpu::gtx280_model());
+  simplex::DenseAt<double> at(dev, aug);
+  DeviceBuffer<double> pi(dev, m), c(dev, n), mask(dev, n), d(dev, n),
+      score(dev, n), devex_w(dev, n), desc(dev, simplex::kDescSlots);
+  vgpu::fill(pi, 0.25);
+  vgpu::fill(c, -1.0);
+  vgpu::fill(devex_w, 1.0);
+  const void* pi_base = pi.host_view().data();
+  // Bytes of pi read by one price_select launch under `priced` columns.
+  const auto pi_traffic = [&](const std::vector<std::size_t>& priced) {
+    std::vector<double> mv(n, 0.0);
+    for (const std::size_t j : priced) mv[j] = 1.0;
+    mask.upload(mv);
+    TrafficCounter traffic;
+    dev.set_capture(&traffic);
+    at.price_select(pi, c, mask, d, score, devex_w, desc,
+                    simplex::EnteringRule::kDantzig, 1e-9);
+    dev.set_capture(nullptr);
+    return traffic.read_bytes[{"price_select", pi_base}];
+  };
+  std::vector<std::size_t> block0, blocks02;
+  for (std::size_t j = 0; j < 100; ++j) block0.push_back(j);
+  blocks02 = block0;
+  for (std::size_t j = 520; j < n; ++j) blocks02.push_back(j);
+  EXPECT_EQ(pi_traffic(block0), m * sizeof(double));
+  EXPECT_EQ(pi_traffic(blocks02), 2 * m * sizeof(double));
+  EXPECT_EQ(pi_traffic({}), 0u);  // every column masked: no block reads pi
+  EXPECT_EQ(d.to_host(), std::vector<double>(n, 0.0));
 }
 
 TEST(CheckedEngines, CheckedModeDoesNotPerturbResultsOrStats) {

@@ -2,6 +2,10 @@
 // serial reference implementations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -9,6 +13,7 @@
 #include "vblas/blas2.hpp"
 #include "vblas/blas3.hpp"
 #include "vblas/containers.hpp"
+#include "vblas/dot_rows.hpp"
 #include "vblas/host_ref.hpp"
 #include "vgpu/machine_model.hpp"
 
@@ -261,6 +266,166 @@ TEST(Blas3, GemmBetaAccumulates) {
   const auto got = dc.to_host();
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(got.flat()[i], 2.0 * a.flat()[i], 1e-12);
+  }
+}
+
+// ------------------------------------------------------------- dot_rows
+
+/// The one-accumulator loop every hot kernel ran before dot_rows; written
+/// out here so the primitive is never checked against itself.
+template <typename T>
+[[nodiscard]] T scalar_dot(const T* row, const T* y, std::size_t m) {
+  T acc{0};
+  for (std::size_t k = 0; k < m; ++k) acc += row[k] * y[k];
+  return acc;
+}
+
+template <typename T>
+[[nodiscard]] bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Values spread over ~40 binades with mixed signs, so any reordering of
+/// a sum shows up in the low bits.
+template <typename T>
+[[nodiscard]] std::vector<T> spread_values(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<T> v(n);
+  for (auto& x : v) {
+    x = static_cast<T>(rng.uniform(-1.0, 1.0) *
+                       std::ldexp(1.0, static_cast<int>(rng.uniform(-20, 20))));
+  }
+  return v;
+}
+
+template <typename T>
+class DotRows : public ::testing::Test {};
+using DotRowsTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(DotRows, DotRowsTypes);
+
+TYPED_TEST(DotRows, ContiguousRowsMatchScalarLoopBitForBit) {
+  using T = TypeParam;
+  for (const std::size_t m :
+       {0u, 1u, 3u, 4u, 5u, 7u, 255u, 256u, 257u, 1023u}) {
+    // Row counts cover every remainder 0-3 past the 4-wide groups.
+    for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
+      const std::size_t ld = m + 3;  // padded rows: ld != m
+      const auto a = spread_values<T>(rows * ld + 8, 100 + m);
+      const auto y = spread_values<T>(m, 200 + m);
+      for (const std::size_t lo : {0u, 1u}) {
+        if (lo >= rows) continue;
+        std::vector<T> out(rows - lo, T{-7});
+        dot_rows(a.data(), ld, lo, rows, y.data(), m, out.data());
+        for (std::size_t i = lo; i < rows; ++i) {
+          const T ref = scalar_dot(a.data() + i * ld, y.data(), m);
+          EXPECT_TRUE(same_bits(out[i - lo], ref))
+              << "m=" << m << " rows=" << rows << " lo=" << lo << " i=" << i
+              << ": " << out[i - lo] << " vs " << ref;
+          EXPECT_TRUE(same_bits(dot(a.data() + i * ld, y.data(), m), ref));
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(DotRows, IndexListsWithGapsAndMaskedBlocksMatchScalarLoop) {
+  using T = TypeParam;
+  // A 768-column sweep in three 256-column blocks, as the pricing kernels
+  // run it: block 0 keeps columns with gaps, block 1 is fully masked
+  // (empty list: no output is touched), block 2 keeps a few columns so
+  // each 1-3 remainder occurs.
+  constexpr std::size_t kCols = 768, kBlock = 256;
+  for (const std::size_t m : {0u, 1u, 3u, 4u, 5u, 7u, 255u, 256u, 257u}) {
+    const auto a = spread_values<T>(kCols * m, 300 + m);
+    const auto y = spread_values<T>(m, 400 + m);
+    for (const std::size_t tail : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+      std::vector<T> d(kCols, T{-7});
+      for (std::size_t lo = 0; lo < kCols; lo += kBlock) {
+        std::vector<std::uint32_t> cols;
+        for (std::size_t j = lo; j < lo + kBlock; ++j) {
+          const bool keep = lo == 0 ? (j * 7) % 5 < 2
+                                    : lo == kBlock ? false
+                                                   : j < lo + tail;
+          if (keep) cols.push_back(static_cast<std::uint32_t>(j));
+        }
+        std::vector<T> out(cols.size());
+        dot_rows(a.data(), m, std::span<const std::uint32_t>(cols), y.data(),
+                 m, out.data());
+        for (std::size_t t = 0; t < cols.size(); ++t) d[cols[t]] = out[t];
+      }
+      for (std::size_t j = 0; j < kCols; ++j) {
+        const bool masked = j >= kBlock && (j < 2 * kBlock || j >= 2 * kBlock + tail);
+        const bool gap = j < kBlock && (j * 7) % 5 >= 2;
+        if (masked || gap) {
+          EXPECT_EQ(d[j], T{-7}) << "masked column " << j << " was written";
+          continue;
+        }
+        const T ref = scalar_dot(a.data() + j * m, y.data(), m);
+        EXPECT_TRUE(same_bits(d[j], ref))
+            << "m=" << m << " tail=" << tail << " j=" << j;
+      }
+    }
+  }
+}
+
+TYPED_TEST(DotRows, TestDataIsOrderSensitive) {
+  // Guard on the two tests above: with this data a reassociated sum does
+  // change bits, so bit equality there really pins the summation order.
+  using T = TypeParam;
+  const std::size_t m = 1023;
+  const auto a = spread_values<T>(m, 100 + m);
+  const auto y = spread_values<T>(m, 200 + m);
+  T reversed{0};
+  for (std::size_t k = m; k-- > 0;) reversed += a[k] * y[k];
+  EXPECT_FALSE(same_bits(reversed, scalar_dot(a.data(), y.data(), m)));
+}
+
+TYPED_TEST(DotRows, MultiplyAndAddAreNeverFused) {
+  // row . y = (-1)(1) + a*b with a*b = 1 - 2^-2e: rounding the product
+  // first gives exactly 1, so the two-rounding sum is 0, while a fused
+  // multiply-add would return -2^-2e. A build that contracts (no
+  // -ffp-contract=off on an FMA target) fails here.
+  using T = TypeParam;
+  const int e = std::numeric_limits<T>::digits / 2 + 2;
+  const T a = T{1} + std::ldexp(T{1}, -e);
+  const T b = T{1} - std::ldexp(T{1}, -e);
+  ASSERT_NE(std::fma(a, b, T{-1}), T{0}) << "inputs do not separate fma";
+  const std::size_t rows = 5;  // one 4-wide group + the scalar tail
+  std::vector<T> mat, y = {T{1}, b};
+  for (std::size_t i = 0; i < rows; ++i) {
+    mat.push_back(T{-1});
+    mat.push_back(a);
+  }
+  std::vector<T> out(rows, T{-7});
+  dot_rows(mat.data(), 2, 0, rows, y.data(), 2, out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(same_bits(out[i], T{0})) << "row " << i << ": " << out[i];
+  }
+  std::vector<T> acc = {T{-1}};
+  axpy(a, &b, acc.data(), 1);
+  EXPECT_TRUE(same_bits(acc[0], T{0})) << acc[0];
+}
+
+TYPED_TEST(DotRows, NegatedAxpyIsTheEliminationStepBitForBit) {
+  // pivot_apply and the explicit oracle run row -= f * prow as
+  // axpy(-f, prow, row): a - b is a + (-b) in IEEE 754, and rounding to
+  // nearest is sign-symmetric, so both forms agree bit for bit —
+  // signed zeros included.
+  using T = TypeParam;
+  auto x = spread_values<T>(1000, 500);
+  auto y = spread_values<T>(1000, 600);
+  x[0] = T{0};
+  y[0] = T{0};
+  x[1] = T{0};
+  y[1] = -T{0};
+  y[2] = x[2] * T{3};  // exact cancellation at f = 3
+  for (const T f : {T{3}, T{-0.625}, std::ldexp(T{1}, -30)}) {
+    std::vector<T> got = y;
+    axpy(-f, x.data(), got.data(), x.size());
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      const T ref = y[j] - f * x[j];
+      EXPECT_TRUE(same_bits(got[j], ref)) << "f=" << f << " j=" << j;
+    }
   }
 }
 
