@@ -135,8 +135,8 @@ else
 fi
 
 # Static launch-graph analysis gate (CHECKING.md "Static analysis"): every
-# engine's captured kernel stream — device double/float, fused and
-# unfused, sparse, batch, and a service-style batch round — must carry
+# engine's captured kernel stream — device double/float under both basis
+# schemes, sparse, batch, and a service-style batch round — must carry
 # zero dataflow hazards, zero uninitialized device reads, zero
 # cost-declaration findings, and waste at most 1% of its PCIe traffic on
 # redundant transfers. Exits 1 with the offending report otherwise.

@@ -128,7 +128,9 @@
 // Exit code: 0 optimal, 2 infeasible, 3 unbounded, 4 iteration limit,
 // 1 usage/parse error (and replay mismatch / non-comparable diff).
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -136,6 +138,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -177,46 +180,68 @@ int usage() {
   return 1;
 }
 
+/// Parse a whole string of decimal digits into an unsigned 64-bit value.
+/// Anything else — empty, a sign, blanks, trailing text, a value past
+/// 2^64 - 1 — is nullopt, which every caller reports as a usage error.
+std::optional<std::uint64_t> parse_count(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Parse "<a>[:<b>]" into two counts; `b` keeps its value when absent.
+bool parse_pair(std::string_view text, std::uint64_t& a, std::uint64_t& b) {
+  const std::size_t colon = text.find(':');
+  const auto first = parse_count(text.substr(0, colon));
+  if (!first.has_value()) return false;
+  a = *first;
+  if (colon == std::string_view::npos) return true;
+  const auto second = parse_count(text.substr(colon + 1));
+  if (!second.has_value()) return false;
+  b = *second;
+  return true;
+}
+
+/// Largest generated size: a generated instance has at most 3 * size
+/// augmented columns, and the device engines carry column indices as Real
+/// in their pivot descriptor, exact up to 2^24 in float.
+constexpr std::uint64_t kMaxGenSize = std::uint64_t{1} << 22;
+
 /// Parse "dense:<size>[:seed]", "sparse:<size>[:seed]" or "klee:<d>" into
 /// a generated instance. The seed lands in `seed_out` so `--record` can
 /// stamp it into the recording header.
 std::optional<lp::LpProblem> parse_gen(const std::string& spec,
                                        std::uint64_t& seed_out) {
-  try {
-    if (spec.starts_with("dense:")) {
-      const std::string rest = spec.substr(6);
-      const std::size_t colon = rest.find(':');
-      lp::DenseLpSpec gen;
-      gen.rows = gen.cols = std::stoul(rest.substr(0, colon));
-      if (colon != std::string::npos) {
-        gen.seed = std::stoul(rest.substr(colon + 1));
-      }
-      if (gen.rows == 0) return std::nullopt;
-      seed_out = gen.seed;
-      return lp::random_dense_lp(gen);
+  std::uint64_t size = 0;
+  if (spec.starts_with("dense:")) {
+    lp::DenseLpSpec gen;
+    if (!parse_pair(std::string_view(spec).substr(6), size, gen.seed) ||
+        size == 0 || size > kMaxGenSize) {
+      return std::nullopt;
     }
-    if (spec.starts_with("sparse:")) {
-      const std::string rest = spec.substr(7);
-      const std::size_t colon = rest.find(':');
-      lp::SparseLpSpec gen;
-      gen.rows = std::stoul(rest.substr(0, colon));
-      gen.cols = 2 * gen.rows;
-      gen.density = 0.02;
-      if (colon != std::string::npos) {
-        gen.seed = std::stoul(rest.substr(colon + 1));
-      }
-      if (gen.rows == 0) return std::nullopt;
-      seed_out = gen.seed;
-      return lp::random_sparse_lp(gen);
+    gen.rows = gen.cols = size;
+    seed_out = gen.seed;
+    return lp::random_dense_lp(gen);
+  }
+  if (spec.starts_with("sparse:")) {
+    lp::SparseLpSpec gen;
+    if (!parse_pair(std::string_view(spec).substr(7), size, gen.seed) ||
+        size == 0 || size > kMaxGenSize) {
+      return std::nullopt;
     }
-    if (spec.starts_with("klee:")) {
-      const std::size_t d = std::stoul(spec.substr(5));
-      if (d == 0 || d > 24) return std::nullopt;
-      seed_out = d;
-      return lp::klee_minty(d);
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
+    gen.rows = size;
+    gen.cols = 2 * gen.rows;
+    gen.density = 0.02;
+    seed_out = gen.seed;
+    return lp::random_sparse_lp(gen);
+  }
+  if (spec.starts_with("klee:")) {
+    const auto d = parse_count(std::string_view(spec).substr(5));
+    if (!d.has_value() || *d == 0 || *d > 24) return std::nullopt;
+    seed_out = *d;
+    return lp::klee_minty(*d);
   }
   return std::nullopt;
 }
@@ -383,18 +408,11 @@ int main(int argc, char** argv) {
 
   // ---- Service demo: a same-shape burst through SolveService. ----
   if (serve_bench) {
-    std::size_t requests = 16, size = 32;
-    if (!serve_spec.empty()) {
-      const std::size_t colon = serve_spec.find(':');
-      try {
-        requests = std::stoul(serve_spec.substr(0, colon));
-        if (colon != std::string::npos) {
-          size = std::stoul(serve_spec.substr(colon + 1));
-        }
-      } catch (const std::exception&) {
-        return usage();
-      }
-      if (requests == 0 || size < 2) return usage();
+    std::uint64_t requests = 16, size = 32;
+    if (!serve_spec.empty() &&
+        (!parse_pair(serve_spec, requests, size) || requests == 0 ||
+         size < 2)) {
+      return usage();
     }
 
     std::vector<lp::LpProblem> burst;
@@ -568,7 +586,9 @@ int main(int argc, char** argv) {
       if (options.metrics == nullptr) options.metrics = &registry;
     }
     if (auto it = flags.find("max-iters"); it != flags.end()) {
-      options.max_iterations = static_cast<std::size_t>(std::stoul(it->second));
+      const auto n = parse_count(it->second);
+      if (!n.has_value()) return usage();
+      options.max_iterations = *n;
     }
     if (!choose(flags, "pricing", options.pricing,
                 {{"dantzig", simplex::PricingRule::kDantzig},

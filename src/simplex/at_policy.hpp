@@ -4,12 +4,12 @@
 // matrix A^T is stored on the device:
 //   * DenseAt  — dense n_aug x m row-major (the paper's layout), and
 //   * SparseAt — CSR (the follow-on sparse variant, Ext. C).
-// A policy supplies the kernels whose cost depends on the storage: the
-// reduced-cost sweep, FTRAN's B^-1 a_q product, the pivot-row product used
-// by Devex pricing and artificial drive-out, and — for the fused iteration
-// path (SolverOptions::fused_iteration) — the collapsed pricing+selection
-// and FTRAN+ratio+selection launches that write the on-device
-// PivotDescriptor instead of round-tripping scalars over PCIe.
+// A policy supplies the kernels whose cost depends on the storage: FTRAN's
+// B^-1 a_q product, the pivot-row product used by artificial drive-out,
+// and the fused iteration kernels — the pricing+selection launch, the
+// FTRAN+ratio+selection launch and the Devex weight update — that write
+// the on-device pivot descriptor instead of round-tripping scalars over
+// PCIe.
 #pragma once
 
 #include <algorithm>
@@ -30,11 +30,11 @@
 namespace gs::simplex {
 
 // ---------------------------------------------------------------------
-// Fused-iteration pivot descriptor (SolverOptions::fused_iteration).
+// Fused-iteration pivot descriptor.
 //
 // All per-iteration decisions accumulate in a 5-slot device buffer and
-// cross PCIe as ONE packed d2h per iteration. Indices are encoded as Real
-// (exact up to 2^24 even in float); kDescNone (-1) marks "no candidate".
+// cross PCIe as one packed d2h. Indices are encoded as Real (exact up to
+// 2^24 even in float); kDescNone (-1) marks "no candidate".
 // ---------------------------------------------------------------------
 inline constexpr std::size_t kDescQ = 0;       ///< entering column, or -1
 inline constexpr std::size_t kDescDq = 1;      ///< reduced cost d_q
@@ -43,8 +43,8 @@ inline constexpr std::size_t kDescTheta = 3;   ///< ratio-test step length
 inline constexpr std::size_t kDescAlphaP = 4;  ///< pivot element alpha_p
 inline constexpr std::size_t kDescSlots = 5;
 // (Ratio ties are observational — the recorder counts them through
-// host_view() outside the machine model, same as the reference path, so
-// they never ride in the descriptor or cost a device-side rescan.)
+// host_view() outside the machine model, so they never ride in the
+// descriptor or cost a device-side rescan.)
 
 /// Entering-variable rule for one fused pricing launch (the hybrid rule
 /// resolves to Dantzig or Bland per iteration on the host).
@@ -52,10 +52,24 @@ enum class EnteringRule { kDantzig, kBland, kDevex };
 
 namespace fused_detail {
 
-/// Apply the reference path's host-side acceptance test to the block/
-/// combine argmin result and write the entering decision into the
-/// descriptor. d_q is always reported from the reduced-cost span, exactly
-/// like the reference path's `d.download_value(q)`.
+/// Per-block winners of one fused selection launch. Like the primitives'
+/// reductions they live host-side, invisible to the machine model; a
+/// sweep wider than one block combines them in a second, small launch.
+template <typename Real>
+struct BlockWinners {
+  explicit BlockWinners(std::size_t n)
+      : blocks((n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize),
+        idx(blocks, vgpu::detail::kNoIndex),
+        val(blocks, Real{0}) {}
+  std::size_t blocks;
+  std::vector<std::size_t> idx;
+  std::vector<Real> val;
+};
+
+/// Apply the selection rule's acceptance test (the host-side tests of the
+/// primitives' argmin / find_first_below callers) to the winning column
+/// and write the entering decision into the descriptor. d_q is reported
+/// from the reduced-cost span.
 template <typename Real, typename DSpan, typename DescSpan>
 void write_entering(EnteringRule rule, Real tol, std::size_t best_idx,
                     Real best_val, const DSpan& d, DescSpan& desc) {
@@ -80,17 +94,47 @@ void write_entering(EnteringRule rule, Real tol, std::size_t best_idx,
   }
 }
 
+/// One block of the fused entering scan over the reduced costs d[lo, hi)
+/// (Devex scores land in `score`), with the primitives' block-scan
+/// semantics. A one-block sweep writes the descriptor directly.
+template <typename Real, typename DSpan, typename SSpan, typename WSpan,
+          typename DescSpan>
+void entering_block(EnteringRule rule, Real tol, const DSpan& d,
+                    const SSpan& score, const WSpan& devex_w, DescSpan& desc,
+                    BlockWinners<Real>& win, std::size_t blk, std::size_t lo,
+                    std::size_t hi) {
+  std::size_t best = vgpu::detail::kNoIndex;
+  Real val{0};
+  if (rule == EnteringRule::kBland) {
+    best = vgpu::detail::block_first_below(d, lo, hi, -tol);
+  } else if (rule == EnteringRule::kDevex) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      score[j] = d[j] < -tol ? -(d[j] * d[j]) / devex_w[j] : Real{0};
+    }
+    best = vgpu::detail::block_argmin(score, lo, hi);
+    val = score[best];
+  } else {
+    best = vgpu::detail::block_argmin(d, lo, hi);
+    val = d[best];
+  }
+  if (win.blocks == 1) {
+    write_entering(rule, tol, best, val, d, desc);
+  } else {
+    win.idx[blk] = best;
+    win.val[blk] = val;
+  }
+}
+
 /// Cross-block combine for the fused pricing selection, launched only
 /// when the column sweep spans more than one block. Reduces the per-block
-/// partials with the primitives' combine semantics (block order, strict
-/// <; first hit for Bland) so the winner is bit-identical to
-/// vgpu::argmin / find_first_below over the full buffer.
+/// winners with the primitives' combine semantics (block order, strict
+/// <; first hit for Bland), so the winner is the one vgpu::argmin /
+/// find_first_below would pick over the full buffer.
 template <typename Real, typename DSpan, typename DescSpan>
 void combine_entering(vgpu::Device& dev, EnteringRule rule, Real tol,
-                      const std::vector<std::size_t>& part_idx,
-                      const std::vector<Real>& part_val, DSpan d,
-                      DescSpan desc) {
-  const std::size_t blocks = part_idx.size();
+                      const BlockWinners<Real>& win, DSpan d, DescSpan desc) {
+  const std::size_t blocks = win.blocks;
+  if (blocks <= 1) return;
   dev.launch_blocks(
       "price_select_final", 1, 1,
       {static_cast<double>(blocks),
@@ -102,18 +146,18 @@ void combine_entering(vgpu::Device& dev, EnteringRule rule, Real tol,
         Real val{0};
         if (rule == EnteringRule::kBland) {
           for (std::size_t b = 0; b < blocks; ++b) {
-            if (part_idx[b] != vgpu::detail::kNoIndex) {
-              best = part_idx[b];
+            if (win.idx[b] != vgpu::detail::kNoIndex) {
+              best = win.idx[b];
               break;
             }
           }
         } else {
-          best = part_idx[0];
-          val = part_val[0];
+          best = win.idx[0];
+          val = win.val[0];
           for (std::size_t b = 1; b < blocks; ++b) {
-            if (part_val[b] < val) {
-              best = part_idx[b];
-              val = part_val[b];
+            if (win.val[b] < val) {
+              best = win.idx[b];
+              val = win.val[b];
             }
           }
         }
@@ -121,9 +165,16 @@ void combine_entering(vgpu::Device& dev, EnteringRule rule, Real tol,
       });
 }
 
-/// Finalize the fused ratio test: pick the leaving row from the block
-/// partials (argmin semantics) and write the descriptor. Runs inline in
-/// the single-block case; as a small combine launch otherwise.
+/// The ratio test's value for row i: beta_i / alpha_i where alpha_i >
+/// pivot_tol, else +inf (beta_i is read only when it is used).
+template <typename Real, typename BSpan>
+[[nodiscard]] Real ratio_at(Real alpha, const BSpan& beta, std::size_t i,
+                            Real pivot_tol) {
+  return alpha > pivot_tol ? beta[i] / alpha
+                           : std::numeric_limits<Real>::infinity();
+}
+
+/// Write the leaving decision (row, step length, pivot element).
 template <typename Real, typename RSpan, typename ASpan, typename DescSpan>
 void write_leaving(std::size_t best, const RSpan& ratio, const ASpan& alpha,
                    DescSpan& desc) {
@@ -132,12 +183,28 @@ void write_leaving(std::size_t best, const RSpan& ratio, const ASpan& alpha,
   desc[kDescAlphaP] = alpha[best];
 }
 
+/// One block of the fused leaving scan over ratio[lo, hi) (argmin
+/// semantics). A one-block sweep writes the descriptor directly.
 template <typename Real, typename RSpan, typename ASpan, typename DescSpan>
-void combine_leaving(vgpu::Device& dev,
-                     const std::vector<std::size_t>& part_idx,
-                     const std::vector<Real>& part_val, RSpan ratio,
-                     ASpan alpha, DescSpan desc) {
-  const std::size_t blocks = part_idx.size();
+void leaving_block(const RSpan& ratio, const ASpan& alpha, DescSpan& desc,
+                   BlockWinners<Real>& win, std::size_t blk, std::size_t lo,
+                   std::size_t hi) {
+  const std::size_t best = vgpu::detail::block_argmin(ratio, lo, hi);
+  if (win.blocks == 1) {
+    write_leaving<Real>(best, ratio, alpha, desc);
+  } else {
+    win.idx[blk] = best;
+    win.val[blk] = ratio[best];
+  }
+}
+
+/// Cross-block combine for the leaving scan, launched only when the rows
+/// span more than one block.
+template <typename Real, typename RSpan, typename ASpan, typename DescSpan>
+void combine_leaving(vgpu::Device& dev, const BlockWinners<Real>& win,
+                     RSpan ratio, ASpan alpha, DescSpan desc) {
+  const std::size_t blocks = win.blocks;
+  if (blocks <= 1) return;
   dev.launch_blocks(
       "ftran_ratio_final", 1, 1,
       {static_cast<double>(blocks),
@@ -146,12 +213,12 @@ void combine_leaving(vgpu::Device& dev,
        sizeof(Real)},
       [&](std::size_t, std::size_t, std::size_t) {
         if (desc[kDescQ] < Real{0}) return;  // speculative: nothing entered
-        std::size_t best = part_idx[0];
-        Real val = part_val[0];
+        std::size_t best = win.idx[0];
+        Real val = win.val[0];
         for (std::size_t b = 1; b < blocks; ++b) {
-          if (part_val[b] < val) {
-            best = part_idx[b];
-            val = part_val[b];
+          if (win.val[b] < val) {
+            best = win.idx[b];
+            val = win.val[b];
           }
         }
         write_leaving<Real>(best, ratio, alpha, desc);
@@ -176,18 +243,21 @@ class DenseAt {
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
 
-  /// d_j = mask_j ? c_j - a_j . pi : 0  for every column j.
-  void price(const vgpu::DeviceBuffer<Real>& pi,
-             const vgpu::DeviceBuffer<Real>& c,
-             const vgpu::DeviceBuffer<Real>& mask,
-             vgpu::DeviceBuffer<Real>& d) const {
-    column_products("price_reduced", pi, &c, &mask, d);
-  }
-
-  /// out_j = a_j . y for every column j (Devex pivot row / drive-out row).
+  /// out_j = a_j . y for every column j (the drive-out row of B^-1 A).
   void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
                          vgpu::DeviceBuffer<Real>& out) const {
-    column_products("pivot_row_product", y, nullptr, nullptr, out);
+    const std::size_t m = m_;
+    auto at = at_.device_span();
+    auto ys = y.device_span();
+    auto os = out.device_span();
+    const vgpu::check::CheckedSpan<const Real> none{};
+    device().launch_blocks(
+        "pivot_row_product", n_aug_, vgpu::Device::kBlockSize,
+        {2.0 * double(n_aug_) * double(m),
+         double((n_aug_ * m + 3 * n_aug_ + m) * sizeof(Real)), sizeof(Real)},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          sweep_block(at, ys, none, none, os, lo, hi);
+        });
   }
 
   /// alpha = B^-1 a_q (dense gemv against the contiguous column a_q).
@@ -210,15 +280,11 @@ class DenseAt {
         });
   }
 
-  // -------------------------------------------------------------------
-  // Fused iteration path (SolverOptions::fused_iteration)
-  // -------------------------------------------------------------------
-
-  /// Fused pricing: reduced costs, rule-specific selection scan and the
-  /// entering decision in ONE launch (price_reduced + devex_score +
-  /// argmin/find_first_below of the reference path). Writes desc[kDescQ]
-  /// and desc[kDescDq]; the block-scan semantics match the primitives',
-  /// so the chosen column is bit-identical to the unfused chain.
+  /// Fused pricing: reduced costs d_j = mask_j ? c_j - a_j . pi : 0, the
+  /// rule-specific selection scan and the entering decision in one launch.
+  /// Writes desc[kDescQ] and desc[kDescDq]; the block-scan semantics match
+  /// the primitives', so the chosen column is the one vgpu::argmin /
+  /// find_first_below would pick over d (or the Devex scores).
   void price_select(const vgpu::DeviceBuffer<Real>& pi,
                     const vgpu::DeviceBuffer<Real>& c,
                     const vgpu::DeviceBuffer<Real>& mask,
@@ -229,12 +295,7 @@ class DenseAt {
                     Real tol) const {
     const std::size_t m = m_;
     const std::size_t n = n_aug_;
-    const std::size_t blocks =
-        (n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    // Per-block partials live host-side, like the primitives' reductions:
-    // invisible to the machine model, combined by a separate small launch.
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
+    fused_detail::BlockWinners<Real> win(n);
     auto at = at_.device_span();
     auto ys = pi.device_span();
     auto cs = c.device_span();
@@ -248,34 +309,11 @@ class DenseAt {
         {2.0 * double(n) * double(m) + 4.0 * double(n),
          double((n * m + 6 * n + m) * sizeof(Real)), sizeof(Real)},
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          // Reduced costs, exactly as price() computes them.
           sweep_block(at, ys, cs, ms, ds, lo, hi);
-          // Rule-specific selection over this block's columns.
-          std::size_t best = vgpu::detail::kNoIndex;
-          Real val{0};
-          if (rule == EnteringRule::kBland) {
-            best = vgpu::detail::block_first_below(ds, lo, hi, -tol);
-          } else if (rule == EnteringRule::kDevex) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ss[j] = ds[j] < -tol ? -(ds[j] * ds[j]) / wsp[j] : Real{0};
-            }
-            best = vgpu::detail::block_argmin(ss, lo, hi);
-            val = ss[best];
-          } else {
-            best = vgpu::detail::block_argmin(ds, lo, hi);
-            val = ds[best];
-          }
-          if (blocks == 1) {
-            fused_detail::write_entering(rule, tol, best, val, ds, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = val;
-          }
+          fused_detail::entering_block(rule, tol, ds, ss, wsp, desc_s, win,
+                                       blk, lo, hi);
         });
-    if (blocks > 1) {
-      fused_detail::combine_entering(device(), rule, tol, part_idx, part_val,
-                                     ds, desc_s);
-    }
+    fused_detail::combine_entering(device(), rule, tol, win, ds, desc_s);
   }
 
   /// Fused FTRAN + ratio test + leaving selection in ONE launch. The
@@ -291,17 +329,13 @@ class DenseAt {
                           vgpu::DeviceBuffer<Real>& desc,
                           Real pivot_tol) const {
     const std::size_t m = m_;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
+    fused_detail::BlockWinners<Real> win(m);
     auto at = at_.device_span();
     auto bs = binv.device_span();
     auto be = beta.device_span();
     auto as = alpha.device_span();
     auto rs = ratio.device_span();
     auto desc_s = desc.device_span();
-    constexpr Real kRInf = std::numeric_limits<Real>::infinity();
     device().launch_blocks(
         "ftran_ratio", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m) + 3.0 * double(m),
@@ -314,28 +348,18 @@ class DenseAt {
           for (std::size_t i = lo; i < hi; ++i) {
             const Real acc = dots[i - lo];
             as[i] = acc;
-            rs[i] = acc > pivot_tol ? be[i] / acc : kRInf;
+            rs[i] = fused_detail::ratio_at(acc, be, i, pivot_tol);
           }
-          const std::size_t best = vgpu::detail::block_argmin(rs, lo, hi);
-          if (blocks == 1) {
-            fused_detail::write_leaving<Real>(best, rs, as, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = rs[best];
-          }
+          fused_detail::leaving_block(rs, as, desc_s, win, blk, lo, hi);
         });
-    if (blocks > 1) {
-      fused_detail::combine_leaving<Real>(device(), part_idx, part_val, rs,
-                                          as, desc_s);
-    }
+    fused_detail::combine_leaving(device(), win, rs, as, desc_s);
   }
 
   /// Fused Devex weight maintenance: the pivot-row products, the masked
   /// weight update, and the leaving variable's re-entry weight in ONE
-  /// launch. The reference weight w_q is read on-device (the reference
-  /// path's download_value round trip rides along as a span read); the
-  /// candidate test `cand > w_q` is false at j == q, so w_q is never
-  /// written while lanes read it.
+  /// launch. The reference weight w_q is read on-device; the candidate
+  /// test `cand > w_q` is false at j == q, so w_q is never written while
+  /// lanes read it. `prow` is row p of the pre-update B^-1.
   void devex_update(const vgpu::DeviceBuffer<Real>& prow,
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
@@ -358,7 +382,9 @@ class DenseAt {
           for (std::size_t j = lo; j < hi; ++j) {
             if (j == leaving) {
               // The leaving variable re-enters the nonbasic pool with the
-              // reference weight of the pivot (its mask is still 0 here).
+              // reference weight of the pivot, whatever its mask reads
+              // (the explicit inverse unmasks it after this launch, the
+              // product form before).
               wsp[j] = std::max(wq / (alpha_p * alpha_p), Real{1});
             } else if (ms[j] != Real{0}) {
               cols[count++] = static_cast<std::uint32_t>(j);
@@ -381,27 +407,6 @@ class DenseAt {
       out.flat()[i] = static_cast<Real>(at64.flat()[i]);
     }
     return out;
-  }
-
-  /// Shared sweep: out_j = [c_j -] a_j . y, optionally masked.
-  void column_products(std::string_view name,
-                       const vgpu::DeviceBuffer<Real>& y,
-                       const vgpu::DeviceBuffer<Real>* c,
-                       const vgpu::DeviceBuffer<Real>* mask,
-                       vgpu::DeviceBuffer<Real>& out) const {
-    const std::size_t m = m_;
-    auto at = at_.device_span();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    device().launch_blocks(
-        name, n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * double(n_aug_) * double(m),
-         double((n_aug_ * m + 3 * n_aug_ + m) * sizeof(Real)), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          sweep_block(at, ys, cs, ms, os, lo, hi);
-        });
   }
 
   /// One block of the column sweep: out_j = c_j - a_j . y for j in
@@ -490,16 +495,21 @@ class SparseAt {
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
 
-  void price(const vgpu::DeviceBuffer<Real>& pi,
-             const vgpu::DeviceBuffer<Real>& c,
-             const vgpu::DeviceBuffer<Real>& mask,
-             vgpu::DeviceBuffer<Real>& d) const {
-    column_products("price_reduced", pi, &c, &mask, d);
-  }
-
   void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
                          vgpu::DeviceBuffer<Real>& out) const {
-    column_products("pivot_row_product", y, nullptr, nullptr, out);
+    const Csr a = csr();
+    auto ys = y.device_span();
+    auto os = out.device_span();
+    const double nnz = static_cast<double>(at_.nnz());
+    device().launch_blocks(
+        "pivot_row_product", n_aug_, vgpu::Device::kBlockSize,
+        {2.0 * nnz,
+         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
+             double(3 * n_aug_ * sizeof(Real)),
+         sizeof(Real)},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) os[j] = a.column_dot(j, ys);
+        });
   }
 
   /// alpha_i = sum_k a_q[k] * binv(i, col_k): sparse column against the
@@ -510,15 +520,11 @@ class SparseAt {
                    vgpu::DeviceBuffer<Real>& alpha,
                    std::string_view name = "ftran") const {
     const std::size_t m = m_;
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
+    const Csr a = csr();
     auto bs = binv.device_span();
     auto as = alpha.device_span();
     // Column extent read host-side (a scalar lookup, like the pivot index).
-    const std::uint32_t k_lo = offs[q];
-    const std::uint32_t k_hi = offs[q + 1];
-    const std::size_t nnz_q = k_hi - k_lo;
+    const std::size_t nnz_q = a.offs[q + 1] - a.offs[q];
     device().launch_blocks(
         name, m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(nnz_q),
@@ -527,26 +533,14 @@ class SparseAt {
                 m * sizeof(Real)),
          sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          // a_q's values/indices are read once and reused across the
-          // block (cached on a real GPU); annotate them in bulk.
-          vals.read_range(k_lo, k_hi);
-          cols.read_range(k_lo, k_hi);
-          const Real* vp = vals.data();
-          const std::uint32_t* cp = cols.data();
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real acc{0};
-            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-              acc += vp[k] * bs[i * m + cp[k]];
-            }
-            as[i] = acc;
-          }
+          BlockDots dots;
+          a.binv_rows_dot_aq(bs, m, q, lo, hi, dots);
+          for (std::size_t i = lo; i < hi; ++i) as[i] = dots[i - lo];
         });
   }
 
-  // -------------------------------------------------------------------
-  // Fused iteration path (SolverOptions::fused_iteration); see DenseAt
-  // for the semantics — these are the CSR-cost twins.
-  // -------------------------------------------------------------------
+  // The fused iteration kernels; see DenseAt for the semantics — these
+  // are the CSR-cost twins.
 
   void price_select(const vgpu::DeviceBuffer<Real>& pi,
                     const vgpu::DeviceBuffer<Real>& c,
@@ -557,13 +551,8 @@ class SparseAt {
                     vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
                     Real tol) const {
     const std::size_t n = n_aug_;
-    const std::size_t blocks =
-        (n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
+    fused_detail::BlockWinners<Real> win(n);
+    const Csr a = csr();
     auto ys = pi.device_span();
     auto cs = c.device_span();
     auto ms = mask.device_span();
@@ -580,41 +569,12 @@ class SparseAt {
          sizeof(Real)},
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           for (std::size_t j = lo; j < hi; ++j) {
-            if (ms[j] == Real{0}) {
-              ds[j] = Real{0};
-              continue;
-            }
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ys[cols[k]];
-            }
-            ds[j] = cs[j] - acc;
+            ds[j] = ms[j] == Real{0} ? Real{0} : cs[j] - a.column_dot(j, ys);
           }
-          std::size_t best = vgpu::detail::kNoIndex;
-          Real val{0};
-          if (rule == EnteringRule::kBland) {
-            best = vgpu::detail::block_first_below(ds, lo, hi, -tol);
-          } else if (rule == EnteringRule::kDevex) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ss[j] = ds[j] < -tol ? -(ds[j] * ds[j]) / wsp[j] : Real{0};
-            }
-            best = vgpu::detail::block_argmin(ss, lo, hi);
-            val = ss[best];
-          } else {
-            best = vgpu::detail::block_argmin(ds, lo, hi);
-            val = ds[best];
-          }
-          if (blocks == 1) {
-            fused_detail::write_entering(rule, tol, best, val, ds, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = val;
-          }
+          fused_detail::entering_block(rule, tol, ds, ss, wsp, desc_s, win,
+                                       blk, lo, hi);
         });
-    if (blocks > 1) {
-      fused_detail::combine_entering(device(), rule, tol, part_idx, part_val,
-                                     ds, desc_s);
-    }
+    fused_detail::combine_entering(device(), rule, tol, win, ds, desc_s);
   }
 
   /// Declared cost uses the widest column (the entering index is device-
@@ -627,20 +587,14 @@ class SparseAt {
                           vgpu::DeviceBuffer<Real>& desc,
                           Real pivot_tol) const {
     const std::size_t m = m_;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
+    fused_detail::BlockWinners<Real> win(m);
+    const Csr a = csr();
     auto bs = binv.device_span();
     auto be = beta.device_span();
     auto as = alpha.device_span();
     auto rs = ratio.device_span();
     auto desc_s = desc.device_span();
     const std::size_t nnz_max = max_col_nnz_;
-    constexpr Real kRInf = std::numeric_limits<Real>::infinity();
     device().launch_blocks(
         "ftran_ratio", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(nnz_max) + 3.0 * double(m),
@@ -651,32 +605,16 @@ class SparseAt {
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
           const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          const std::uint32_t k_lo = offs[q];
-          const std::uint32_t k_hi = offs[q + 1];
-          vals.read_range(k_lo, k_hi);
-          cols.read_range(k_lo, k_hi);
-          const Real* vp = vals.data();
-          const std::uint32_t* cp = cols.data();
+          BlockDots dots;
+          a.binv_rows_dot_aq(bs, m, q, lo, hi, dots);
           for (std::size_t i = lo; i < hi; ++i) {
-            Real acc{0};
-            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-              acc += vp[k] * bs[i * m + cp[k]];
-            }
+            const Real acc = dots[i - lo];
             as[i] = acc;
-            rs[i] = acc > pivot_tol ? be[i] / acc : kRInf;
+            rs[i] = fused_detail::ratio_at(acc, be, i, pivot_tol);
           }
-          const std::size_t best = vgpu::detail::block_argmin(rs, lo, hi);
-          if (blocks == 1) {
-            fused_detail::write_leaving<Real>(best, rs, as, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = rs[best];
-          }
+          fused_detail::leaving_block(rs, as, desc_s, win, blk, lo, hi);
         });
-    if (blocks > 1) {
-      fused_detail::combine_leaving<Real>(device(), part_idx, part_val, rs,
-                                          as, desc_s);
-    }
+    fused_detail::combine_leaving(device(), win, rs, as, desc_s);
   }
 
   void devex_update(const vgpu::DeviceBuffer<Real>& prow,
@@ -684,9 +622,7 @@ class SparseAt {
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
                     std::size_t leaving, Real alpha_p) const {
     const std::size_t n = n_aug_;
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
+    const Csr a = csr();
     auto ps = prow.device_span();
     auto ms = mask.device_span();
     auto wsp = devex_w.device_span();
@@ -705,11 +641,7 @@ class SparseAt {
               continue;
             }
             if (ms[j] == Real{0}) continue;
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ps[cols[k]];
-            }
-            const Real t = acc / alpha_p;
+            const Real t = a.column_dot(j, ps) / alpha_p;
             const Real cand = t * t * wq;
             if (cand > wsp[j]) wsp[j] = cand;
           }
@@ -717,6 +649,51 @@ class SparseAt {
   }
 
  private:
+  using BlockDots = std::array<Real, vgpu::Device::kBlockSize>;
+
+  /// Device views of the CSR arrays of A^T (row j of A^T is column j of
+  /// A), taken once per launch.
+  struct Csr {
+    vgpu::check::CheckedSpan<const std::uint32_t> offs, cols;
+    vgpu::check::CheckedSpan<const Real> vals;
+
+    /// a_j . y, summed in CSR order.
+    [[nodiscard]] Real column_dot(
+        std::size_t j, const vgpu::check::CheckedSpan<const Real>& y) const {
+      Real acc{0};
+      for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
+        acc += vals[k] * y[cols[k]];
+      }
+      return acc;
+    }
+
+    /// dots[i - lo] = row_i(B^-1) . a_q for rows [lo, hi). a_q's values
+    /// and indices are read once and reused across the block (cached on
+    /// a real GPU); they are annotated in bulk.
+    void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& bs,
+                          std::size_t m, std::size_t q, std::size_t lo,
+                          std::size_t hi, BlockDots& dots) const {
+      const std::uint32_t k_lo = offs[q];
+      const std::uint32_t k_hi = offs[q + 1];
+      vals.read_range(k_lo, k_hi);
+      cols.read_range(k_lo, k_hi);
+      const Real* vp = vals.data();
+      const std::uint32_t* cp = cols.data();
+      for (std::size_t i = lo; i < hi; ++i) {
+        Real acc{0};
+        for (std::uint32_t k = k_lo; k < k_hi; ++k) {
+          acc += vp[k] * bs[i * m + cp[k]];
+        }
+        dots[i - lo] = acc;
+      }
+    }
+  };
+
+  [[nodiscard]] Csr csr() const {
+    return {at_.row_offsets().device_span(), at_.col_indices().device_span(),
+            at_.values().device_span()};
+  }
+
   [[nodiscard]] static sparse::CsrMatrix<Real> host_csr(
       const AugmentedLp& aug) {
     const sparse::CsrMatrix<double> at64 = aug.csr_at();
@@ -727,40 +704,6 @@ class SparseAt {
     return sparse::CsrMatrix<Real>(at64.rows(), at64.cols(),
                                    at64.row_offsets(), at64.col_indices(),
                                    std::move(vals));
-  }
-
-  void column_products(std::string_view name,
-                       const vgpu::DeviceBuffer<Real>& y,
-                       const vgpu::DeviceBuffer<Real>* c,
-                       const vgpu::DeviceBuffer<Real>* mask,
-                       vgpu::DeviceBuffer<Real>& out) const {
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        name, n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * nnz,
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(3 * n_aug_ * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (mask && ms[j] == Real{0}) {
-              os[j] = Real{0};
-              continue;
-            }
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ys[cols[k]];
-            }
-            os[j] = c ? cs[j] - acc : acc;
-          }
-        });
   }
 
   std::size_t m_, n_aug_;

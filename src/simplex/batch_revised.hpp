@@ -402,8 +402,8 @@ class BatchRevisedSimplex {
             }
           });
       // Rank-1 inverse update + on-device basis bookkeeping: the pivot
-      // lane (i == p) swaps basic/mask/cb in device memory, replacing the
-      // reference path's three per-pivot upload_value round trips.
+      // lane (i == p) swaps basic/mask/cb in device memory, so a pivot
+      // costs no upload_value round trip.
       dev_.launch_blocks(
           "batch_pivot_apply", batch * m, vgpu::Device::kBlockSize,
           {2.0 * double(batch) * double(m) * double(m),

@@ -11,8 +11,9 @@
 //   * beta = B^-1 b, pi, d, alpha, ratio vectors, pricing mask, c, c_B
 //
 // Only scalars cross the PCIe boundary each iteration: the chosen entering/
-// leaving indices, theta, and the entering reduced cost. That per-iteration
-// transfer latency is charged through the device's machine model and is a
+// leaving indices, theta, the entering reduced cost and the pivot element,
+// packed in one on-device pivot descriptor. That per-iteration transfer
+// latency is charged through the device's machine model and is a
 // first-order term below the paper's crossover size.
 //
 // Template parameters: Real in {float, double} drives the Fig. 3 precision
@@ -145,9 +146,7 @@ class DeviceRevisedSimplex {
       result.basis = ws.basic;
       return finish(result, status, wall);
     };
-    Steps steps{*this, ws,
-                opt_.fused_iteration &&
-                    opt_.basis == BasisScheme::kExplicitInverse};
+    Steps steps{*this, ws};
     PrimalDriver driver(steps, aug, opt_, result.stats);
     const SolveStatus status = driver.run_phases(aug.num_artificial > 0);
     if (status != SolveStatus::kOptimal) return fin(status);
@@ -293,8 +292,8 @@ class DeviceRevisedSimplex {
         pivot_row, scalar_tmp, eta_work;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
-    /// Fused-path pivot descriptor (kDescSlots Reals): the iteration's
-    /// entering/leaving decisions, filled on device, fetched with one d2h.
+    /// Pivot descriptor (kDescSlots Reals): the iteration's entering/
+    /// leaving decisions, filled on device, fetched with one d2h.
     vgpu::DeviceBuffer<Real> desc;
 
     /// Product-form eta file: one entry per pivot since the last
@@ -492,41 +491,6 @@ class DeviceRevisedSimplex {
                        });
   }
 
-  /// ratio_i = beta_i / alpha_i where alpha_i > pivot_tol, else +inf.
-  void ratio_test_kernel(Workspace& ws) {
-    auto asp = ws.alpha.device_span();
-    auto bsp = ws.beta.device_span();
-    auto rsp = ws.ratio.device_span();
-    const Real tol = static_cast<Real>(ws.options.pivot_tol);
-    dev_.launch_blocks(
-        "ratio", ws.m, vgpu::Device::kBlockSize,
-        {double(ws.m), bytes(3 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            rsp[i] = asp[i] > tol ? bsp[i] / asp[i] : kInf;
-          }
-        });
-  }
-
-  /// beta update after the pivot: beta_p = theta, beta_i -= theta*alpha_i.
-  void update_beta(Workspace& ws, std::size_t p, Real theta) {
-    auto asp = ws.alpha.device_span();
-    auto bsp = ws.beta.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
-    dev_.launch_blocks(
-        "update_beta", ws.m, vgpu::Device::kBlockSize,
-        {2.0 * double(ws.m), bytes(3 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
-            if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-            // The ratio test guarantees v >= 0 in exact arithmetic; clamp
-            // the rounding dust so the basis stays primal feasible.
-            bsp[i] = v < Real{0} ? Real{0} : v;
-          }
-        });
-  }
-
   /// Copy row p of B^-1 into ws.pivot_row.
   void save_pivot_row(Workspace& ws, std::size_t p) {
     const std::size_t m = ws.m;
@@ -540,31 +504,41 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Rank-1 Gauss-Jordan update of the explicit inverse:
-  ///   row_p /= alpha_p;  row_i -= (alpha_i / alpha_p) * old row_p.
-  /// Requires save_pivot_row(p) to have run.
-  void update_binv(Workspace& ws, std::size_t p, Real alpha_p) {
-    const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
-    auto prow = ws.pivot_row.device_span();
-    auto asp = ws.alpha.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
-    dev_.launch_blocks(
-        "update_binv", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          eliminate_rows<Real>(binv, prow, asp, m, p, alpha_p, round_tol, lo,
-                               hi);
-        });
+  // -------------------------------------------------------------------
+  // The basis exchange. One iteration costs 5 launches (6 with Devex) and
+  // one packed-descriptor readback under the explicit inverse; the
+  // product form adds the eta file's launches and a second readback.
+  // -------------------------------------------------------------------
+
+  /// A pivot's scalar bookkeeping, written on device by the pivot lane
+  /// (one writer each, zero per-iteration H2D): c_B[p], mask[q] off, and
+  /// mask[leaving] back on unless the leaving column is an artificial.
+  struct Bookkeeping {
+    std::size_t q, p, leaving;
+    Real cb_new;
+    bool unmask_leaving;
+  };
+
+  template <typename CSpan, typename MSpan>
+  static void poke(const Bookkeeping& x, const CSpan& cb, const MSpan& mask) {
+    cb[x.p] = x.cb_new;
+    mask[x.q] = Real{0};
+    if (x.unmask_leaving) mask[x.leaving] = Real{1};
   }
 
-  // -------------------------------------------------------------------
-  // Fused iteration kernels (SolverOptions::fused_iteration). Same
-  // arithmetic as the reference kernels above, collapsed so one iteration
-  // costs 5 launches (6 with Devex) and ONE scalar-sized PCIe readback.
-  // -------------------------------------------------------------------
+  /// Lane i of beta's step past the pivot: beta_p = theta, beta_i -=
+  /// theta * alpha_i, flushed below round_tol. The ratio test guarantees
+  /// beta_i >= 0 in exact arithmetic; the clamp drops the rounding dust so
+  /// the basis stays primal feasible.
+  template <typename BSpan, typename ASpan>
+  static void step_beta(const BSpan& beta, const ASpan& alpha, std::size_t i,
+                        std::size_t p, Real theta, Real round_tol) {
+    Real v = (i == p) ? theta : beta[i] - theta * alpha[i];
+    if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
+    beta[i] = v < Real{0} ? Real{0} : v;
+  }
 
-  /// Fused save_pivot_row + update_beta: one m-wide launch snapshots the
+  /// Explicit inverse, first half: one m-wide launch snapshots the
   /// pre-update pivot row of B^-1 and steps beta past the pivot.
   void pivot_stage(Workspace& ws, std::size_t p, Real theta) {
     const std::size_t m = ws.m;
@@ -579,22 +553,18 @@ class DeviceRevisedSimplex {
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
             prow[i] = binv[p * m + i];
-            Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
-            if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-            bsp[i] = v < Real{0} ? Real{0} : v;
+            step_beta(bsp, asp, i, p, theta, round_tol);
           }
         });
   }
 
-  /// Fused rank-1 update of B^-1 + the pivot's scalar bookkeeping. The
-  /// reference path's three upload_value round trips (c_B[p], mask[q] off,
-  /// mask[leaving] on) ride along as kernel arguments written by the pivot
-  /// lane — zero per-iteration H2D traffic. The saved pivot row is read
-  /// through a raw pointer (annotated once per block), so the default
-  /// round_tol == 0 elimination is a branch-free axpy that vectorizes.
-  void pivot_apply(Workspace& ws, std::size_t q, std::size_t p, Real alpha_p,
-                   Real cb_new, std::size_t leaving, bool unmask_leaving) {
+  /// Explicit inverse, second half: the rank-1 update of B^-1 plus the
+  /// pivot's bookkeeping. The saved pivot row is read through a raw
+  /// pointer (annotated once per block), so the default round_tol == 0
+  /// elimination is a branch-free axpy that vectorizes.
+  void pivot_apply(Workspace& ws, const Bookkeeping& x, Real alpha_p) {
     const std::size_t m = ws.m;
+    const std::size_t p = x.p;
     auto binv = ws.binv.device_span();
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
@@ -608,13 +578,52 @@ class DeviceRevisedSimplex {
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           eliminate_rows<Real>(binv, prow, asp, m, p, alpha_p, round_tol, lo,
                                hi);
-          if (p >= lo && p < hi) {
-            // One writer each: the pivot lane owns the scalar pokes.
-            csp[p] = cb_new;
-            msp[q] = Real{0};
-            if (unmask_leaving) msp[leaving] = Real{1};
-          }
+          if (p >= lo && p < hi) poke(x, csp, msp);
         });
+  }
+
+  /// Product form's stage: one m-wide launch steps beta past the pivot
+  /// and writes the pivot's bookkeeping; the eta append follows.
+  void pivot_stage_pf(Workspace& ws, const Bookkeeping& x, Real theta) {
+    const std::size_t m = ws.m;
+    auto asp = ws.alpha.device_span();
+    auto bsp = ws.beta.device_span();
+    auto csp = ws.cb.device_span();
+    auto msp = ws.mask.device_span();
+    const Real round_tol = static_cast<Real>(ws.options.round_tol);
+    dev_.launch_blocks(
+        "pivot_stage_pf", m, vgpu::Device::kBlockSize,
+        {2.0 * double(m), bytes(3 * m + 4), sizeof(Real)},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            step_beta(bsp, asp, i, x.p, theta, round_tol);
+          }
+          if (x.p >= lo && x.p < hi) poke(x, csp, msp);
+        });
+  }
+
+  /// Product form's ratio test + leaving selection over the FTRAN'd
+  /// alpha in one launch; writes desc[kDescP/kDescTheta/kDescAlphaP] with
+  /// the same scan as the explicit inverse's fused ftran_ratio.
+  void ratio_select(Workspace& ws) {
+    const std::size_t m = ws.m;
+    fused_detail::BlockWinners<Real> win(m);
+    auto asp = ws.alpha.device_span();
+    auto bsp = ws.beta.device_span();
+    auto rsp = ws.ratio.device_span();
+    auto desc = ws.desc.device_span();
+    const Real tol = static_cast<Real>(ws.options.pivot_tol);
+    dev_.launch_blocks(
+        "ratio_select", m, vgpu::Device::kBlockSize,
+        {3.0 * double(m), bytes(4 * m + 3), sizeof(Real)},
+        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            rsp[i] = fused_detail::ratio_at(static_cast<Real>(asp[i]), bsp, i,
+                                            tol);
+          }
+          fused_detail::leaving_block(rsp, asp, desc, win, blk, lo, hi);
+        });
+    fused_detail::combine_leaving(dev_, win, rsp, asp, desc);
   }
 
   /// Product-form: append the eta for this pivot instead of updating B^-1.
@@ -635,7 +644,7 @@ class DeviceRevisedSimplex {
             esp[i] = (i == p) ? inv : -asp[i] * inv;
           }
         });
-    ws.etas.push_back({p, std::move(eta)});
+    ws.etas.push_back({p, std::move(eta), std::nullopt, std::nullopt});
   }
 
   /// Sparse-kernel eta append: the support is alpha's nonzero pattern.
@@ -733,42 +742,6 @@ class DeviceRevisedSimplex {
         });
   }
 
-  // ---------------------------------------------------------------------
-  // Pricing
-  // ---------------------------------------------------------------------
-
-  /// Pick the entering column (or nullopt at optimality). `use_bland`
-  /// overrides the configured rule during degeneracy streaks.
-  [[nodiscard]] std::optional<std::size_t> select_entering(Workspace& ws,
-                                                           bool use_bland) {
-    const Real tol = static_cast<Real>(ws.options.opt_tol);
-    if (use_bland || ws.options.pricing == PricingRule::kBland) {
-      const auto hit = vgpu::find_first_below(ws.d, -tol);
-      if (!hit.found()) return std::nullopt;
-      return hit.index;
-    }
-    if (ws.options.pricing == PricingRule::kDevex) {
-      auto dsp = ws.d.device_span();
-      auto wsp = ws.devex_w.device_span();
-      auto ssp = ws.col_work.device_span();
-      dev_.launch_blocks(
-          "devex_score", ws.n_aug, vgpu::Device::kBlockSize,
-          {3.0 * double(ws.n_aug), bytes(3 * ws.n_aug), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ssp[j] = dsp[j] < -tol ? -(dsp[j] * dsp[j]) / wsp[j] : Real{0};
-            }
-          });
-      const auto best = vgpu::argmin(ws.col_work);
-      if (!best.found() || best.value >= Real{0}) return std::nullopt;
-      return best.index;
-    }
-    // Dantzig: most negative reduced cost.
-    const auto best = vgpu::argmin(ws.d);
-    if (!best.found() || best.value >= -tol) return std::nullopt;
-    return best.index;
-  }
-
   /// pivot_row <- row `i` of B^-1 under the active basis scheme: a cheap
   /// row copy for the explicit inverse, a unit-vector BTRAN otherwise.
   void compute_binv_row(Workspace& ws, std::size_t i) {
@@ -789,74 +762,29 @@ class DeviceRevisedSimplex {
     btran_generic(ws, ws.ratio, ws.pivot_row);
   }
 
-  /// Devex weight maintenance (uses the pre-update B^-1 row p).
-  void devex_update(Workspace& ws, std::size_t q, std::size_t p,
-                    Real alpha_p) {
-    // alpha-tilde_j = (B^-1 A)_pj for all columns: one pricing-shaped pass
-    // against the pivot row of the current inverse.
-    compute_binv_row(ws, p);
-    ws.at.pivot_row_product(ws.pivot_row, ws.col_work);
-    const Real wq = ws.devex_w.download_value(q);
-    auto wsp = ws.devex_w.device_span();
-    auto msp = ws.mask.device_span();
-    auto rsp = ws.col_work.device_span();
-    dev_.launch_blocks(
-        "devex_update", ws.n_aug, vgpu::Device::kBlockSize,
-        {4.0 * double(ws.n_aug), bytes(3 * ws.n_aug), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (msp[j] == Real{0}) continue;
-            const Real t = rsp[j] / alpha_p;
-            const Real cand = t * t * wq;
-            if (cand > wsp[j]) wsp[j] = cand;
-          }
-        });
-    // The leaving variable re-enters the nonbasic pool with the reference
-    // weight of the pivot.
-    const Real w_leave = std::max(wq / (alpha_p * alpha_p), Real{1});
-    ws.devex_w.upload_value(ws.basic[p], w_leave);
-  }
-
-  /// Apply one basis exchange with the reference kernels: entering column
-  /// q replaces row p's variable.
-  void pivot(Workspace& ws, std::size_t q, std::size_t p, Real theta,
-             Real alpha_p) {
-    update_beta(ws, p, theta);
-    if (ws.options.basis == BasisScheme::kExplicitInverse) {
-      save_pivot_row(ws, p);
-      update_binv(ws, p, alpha_p);
-    } else {
-      append_eta(ws, p, alpha_p);
-    }
-    const std::uint32_t leaving = ws.exchange(p, q);
-    // Scalar traffic: c_B[p], mask[q] off, mask[leaving] on (unless it is an
-    // artificial, which never re-enters).
-    ws.cb.upload_value(p, static_cast<Real>(ws.c_host[q]));
-    ws.mask.upload_value(q, Real{0});
-    if (!ws.aug.is_artificial[leaving]) {
-      ws.mask.upload_value(leaving, Real{1});
-    }
-  }
-
   // ---------------------------------------------------------------------
   // The primal step set (primal_driver.hpp runs the iteration)
   // ---------------------------------------------------------------------
 
-  /// The device engine's steps. The reference kernels serve product form
-  /// and the unfused explicit inverse; `fused` selects the explicit-
-  /// inverse fused chain, per iteration
+  /// The device engine's steps: one fused chain whose basis
+  /// representation is the only thing that varies. Per iteration, the
+  /// explicit inverse runs
   ///   price_btran -> price_select -> ftran_ratio -> [descriptor d2h]
-  ///   -> pivot_stage -> [devex_update_fused] -> pivot_apply.
-  /// Its pivot sequence is bit-identical to the reference kernels' — the
-  /// fused selections share the primitives' block-scan semantics and the
-  /// device-side acceptance tests mirror the host ones — so recordings
-  /// diff clean against the reference path (tests/test_fusion.cpp).
-  /// Drive-out always runs the reference kernels.
+  ///   -> pivot_stage -> [devex_update_fused] -> pivot_apply,
+  /// and the product form runs
+  ///   [eta BTRAN] price_btran -> price_select -> [descriptor d2h]
+  ///   -> ftran [eta FTRAN] -> ratio_select -> [descriptor d2h]
+  ///   -> pivot_stage_pf -> [unit-seed BTRAN, devex_update_fused] -> make_eta.
+  /// The fused selections share the primitives' block-scan semantics and
+  /// the device-side acceptance tests mirror the host ones, so the pivot
+  /// sequence is the one the pre-fusion kernels chose: tests/test_fusion.cpp
+  /// diffs every solve of its matrix against their recorded logs
+  /// (data/golden/fusion). Drive-out runs the same basis exchange with
+  /// theta = 0 and no Devex update.
   struct Steps {
     DeviceRevisedSimplex& e;
     Workspace& ws;
-    bool fused;
-    std::array<Real, kDescSlots> desc{};  ///< fused: host copy of ws.desc
+    std::array<Real, kDescSlots> desc{};  ///< host copy of ws.desc
     std::vector<Real> row_w{};            ///< drive-out row of B^-1 A
 
     [[nodiscard]] const trace::Track& track() const {
@@ -874,70 +802,65 @@ class DeviceRevisedSimplex {
     [[nodiscard]] bool is_basic(std::size_t j) const {
       return ws.in_basis[j];
     }
+    [[nodiscard]] bool product_form() const {
+      return ws.options.basis == BasisScheme::kProductForm;
+    }
+    /// The descriptor's one packed d2h.
+    void fetch_desc() {
+      ws.desc.download(std::span<Real>(desc.data(), desc.size()));
+    }
 
     StepResult price(bool bland, Pivot& pv) {
-      if (fused) {
-        const EnteringRule rule =
-            bland ? EnteringRule::kBland
-                  : (ws.options.pricing == PricingRule::kDevex
-                         ? EnteringRule::kDevex
-                         : EnteringRule::kDantzig);
-        e.btran_base(ws, ws.cb, ws.pi);
-        ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
-                           ws.devex_w, ws.desc, rule,
-                           static_cast<Real>(ws.options.opt_tol));
-        return StepResult::kContinue;  // the descriptor decides in ratio()
-      }
+      const EnteringRule rule =
+          bland ? EnteringRule::kBland
+                : (ws.options.pricing == PricingRule::kDevex
+                       ? EnteringRule::kDevex
+                       : EnteringRule::kDantzig);
       e.btran(ws);
-      ws.at.price(ws.pi, ws.c, ws.mask, ws.d);
-      const std::optional<std::size_t> q = e.select_entering(ws, bland);
-      if (!q.has_value()) return StepResult::kOptimal;
-      pv.q = *q;
-      pv.d_q = static_cast<double>(ws.d.download_value(*q));
+      ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
+                         ws.devex_w, ws.desc, rule,
+                         static_cast<Real>(ws.options.opt_tol));
+      // The explicit inverse's FTRAN reads q on device: the descriptor
+      // decides in ratio(). The eta file is walked from the host, so the
+      // product form fetches the entering decision here.
+      if (!product_form()) return StepResult::kContinue;
+      fetch_desc();
+      if (desc[kDescQ] < Real{0}) return StepResult::kOptimal;
+      pv.q = static_cast<std::size_t>(desc[kDescQ]);
+      pv.d_q = desc[kDescDq];
       return StepResult::kContinue;
     }
 
     void ftran(const Pivot& pv) {
-      if (fused) {
-        // Speculative: issued before the host knows whether pricing found
-        // a candidate; the kernel early-exits on-device when it did not.
-        ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
-                                 ws.desc,
-                                 static_cast<Real>(ws.options.pivot_tol));
-      } else {
-        ftran_column(pv.q);
+      if (product_form()) {
+        e.ftran(ws, pv.q);
+        return;
       }
+      // Speculative: issued before the host knows whether pricing found
+      // a candidate; the kernel early-exits on-device when it did not.
+      ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio, ws.desc,
+                               static_cast<Real>(ws.options.pivot_tol));
     }
     void ftran_column(std::size_t q) { e.ftran(ws, q); }
 
     StepResult ratio(Pivot& pv) {
-      if (fused) {
-        // The iteration's ONLY PCIe transfer: one packed descriptor.
-        ws.desc.download(std::span<Real>(desc.data(), desc.size()));
-        if (desc[kDescQ] < Real{0}) return StepResult::kOptimal;
-        // Zero-row edge: the ratio kernel is an empty grid (never
-        // launched), so the leaving slots are meaningless.
-        if (ws.m == 0 || desc[kDescTheta] == kInf) {
-          return StepResult::kUnbounded;
-        }
-        pv = {static_cast<std::size_t>(desc[kDescQ]),
-              static_cast<std::size_t>(desc[kDescP]), desc[kDescDq],
-              desc[kDescTheta], desc[kDescAlphaP]};
-        return StepResult::kContinue;
+      if (product_form()) e.ratio_select(ws);
+      // The explicit inverse's only PCIe transfer of the iteration.
+      fetch_desc();
+      if (desc[kDescQ] < Real{0}) return StepResult::kOptimal;
+      // Zero-row edge: the ratio kernel is an empty grid (never
+      // launched), so the leaving slots are meaningless.
+      if (ws.m == 0 || desc[kDescTheta] == kInf) {
+        return StepResult::kUnbounded;
       }
-      e.ratio_test_kernel(ws);
-      const vgpu::ArgResult<Real> leave = vgpu::argmin(ws.ratio);
-      if (!leave.found() || leave.value == kInf) return StepResult::kUnbounded;
-      pv.p = leave.index;
-      pv.theta = static_cast<double>(leave.value);
+      pv = {static_cast<std::size_t>(desc[kDescQ]),
+            static_cast<std::size_t>(desc[kDescP]), desc[kDescDq],
+            desc[kDescTheta], desc[kDescAlphaP]};
       return StepResult::kContinue;
     }
 
-    /// Reference path: alpha_p's scalar readback. Fused: already in the
-    /// descriptor.
-    void pivot_element(Pivot& pv) {
-      if (!fused) pv.alpha_p = pivot_value(pv.p);
-    }
+    /// alpha_p already rode in the descriptor.
+    void pivot_element(Pivot&) {}
     double pivot_value(std::size_t row) {
       return static_cast<double>(ws.alpha.download_value(row));
     }
@@ -952,38 +875,50 @@ class DeviceRevisedSimplex {
     }
 
     void update(const Pivot& pv) {
-      const Real theta = static_cast<Real>(pv.theta);
+      exchange(pv, static_cast<Real>(pv.theta),
+               ws.options.pricing == PricingRule::kDevex);
+      ++ws.pivots_since_refactor;
+    }
+    void drive_out_pivot(const Pivot& pv) { exchange(pv, Real{0}, false); }
+
+    /// Entering column q replaces row p's basic variable, stepping beta
+    /// by theta. The Devex update reads row p of the pre-update inverse.
+    void exchange(const Pivot& pv, Real theta, bool devex) {
+      const std::uint32_t leaving = ws.exchange(pv.p, pv.q);
       const Real alpha_p = static_cast<Real>(pv.alpha_p);
-      const bool devex = ws.options.pricing == PricingRule::kDevex;
-      if (fused) {
-        const std::uint32_t leaving = ws.exchange(pv.p, pv.q);
-        e.pivot_stage(ws, pv.p, theta);
+      const Bookkeeping x{pv.q, pv.p, leaving,
+                          static_cast<Real>(ws.c_host[pv.q]),
+                          !ws.aug.is_artificial[leaving]};
+      if (!product_form()) {
+        e.pivot_stage(ws, pv.p, theta);  // saves the pivot row
         if (devex) {
           ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, pv.q,
                              leaving, alpha_p);
         }
-        e.pivot_apply(ws, pv.q, pv.p, alpha_p,
-                      static_cast<Real>(ws.c_host[pv.q]), leaving,
-                      !ws.aug.is_artificial[leaving]);
-      } else {
-        if (devex) e.devex_update(ws, pv.q, pv.p, alpha_p);
-        e.pivot(ws, pv.q, pv.p, theta, alpha_p);
+        e.pivot_apply(ws, x, alpha_p);
+        return;
       }
-      ++ws.pivots_since_refactor;
-    }
-    void drive_out_pivot(const Pivot& pv) {
-      e.pivot(ws, pv.q, pv.p, Real{0}, static_cast<Real>(pv.alpha_p));
+      // The stage turns mask[q] off before the weight update reads the
+      // mask, so no lane writes w_q while the others read it: under the
+      // eta file, a_q . (row p of B^-1) need not reproduce alpha_p bit
+      // for bit, as it does for the explicit inverse.
+      e.pivot_stage_pf(ws, x, theta);
+      if (devex) {
+        e.compute_binv_row(ws, pv.p);
+        ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, pv.q, leaving,
+                           alpha_p);
+      }
+      e.append_eta(ws, pv.p, alpha_p);
     }
 
     /// Explicit inverse: the opt-in refactor_period sheds rounding drift.
     /// Product form: reinversion_period (default m) bounds the eta file.
     [[nodiscard]] bool wants_refactor() const {
       const std::size_t period =
-          ws.options.basis == BasisScheme::kExplicitInverse
-              ? ws.options.refactor_period
-              : (ws.options.reinversion_period > 0
-                     ? ws.options.reinversion_period
-                     : ws.m);
+          !product_form() ? ws.options.refactor_period
+                          : (ws.options.reinversion_period > 0
+                                 ? ws.options.reinversion_period
+                                 : ws.m);
       return period > 0 && ws.pivots_since_refactor >= period;
     }
     bool refactor() {
@@ -1004,7 +939,7 @@ class DeviceRevisedSimplex {
     [[nodiscard]] HealthProbe probe_health(std::size_t iter,
                                            std::size_t probes) const {
       HealthProbe h;
-      if (ws.options.basis != BasisScheme::kExplicitInverse) {
+      if (product_form()) {
         h.eta_count = ws.etas.size();
         return h;
       }

@@ -4,7 +4,7 @@
 // periodic refactorization). What differs between engines is only how
 // each step runs: plain host loops over a BasisOracle (host engine, the
 // dual engine's primal cleanup) or device kernels (the device engine's
-// reference kernels, and its fused explicit-inverse chain). The engines
+// fused chain, under either basis representation). The engines
 // therefore supply a *step set* — the arithmetic and the kernels — and
 // PrimalDriver owns everything around it:
 //
@@ -32,8 +32,9 @@
 //   StepResult ratio(Pivot&);                  fills p, theta
 //   void pivot_element(Pivot&);                fills alpha_p (after `ratio`)
 // A step set whose selections stay on the device until one readback (the
-// fused chain) may defer: price() then returns kContinue without a
-// decision, and ratio() fills the whole Pivot or reports kOptimal.
+// device engine's explicit inverse) may defer: price() then returns
+// kContinue without a decision, and ratio() fills the whole Pivot or
+// reports kOptimal. `pivot_element` may then be a no-op.
 //   std::uint32_t ratio_ties(const Pivot&);    recorder bookkeeping only
 //   void update(const Pivot&);                 the basis exchange
 //   bool wants_refactor(); bool refactor();    refactor() true on success

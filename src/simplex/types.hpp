@@ -96,18 +96,6 @@ struct SolverOptions {
   /// Compute post-optimal sensitivity ranges (HostRevisedSimplex only).
   bool ranging = false;
 
-  /// Fused per-iteration kernels (device engine, explicit inverse only):
-  /// the pricing chain, the ratio-test chain and the rank-1 B⁻¹ update
-  /// each collapse into a single launch, and the per-iteration scalar
-  /// ping-pong is replaced by one packed PivotDescriptor readback. The
-  /// pivot sequence is bit-identical to the unfused reference path (the
-  /// fused reductions share the primitives' block-scan semantics); only
-  /// launch/transfer counts and modeled time change. Set false to run the
-  /// pre-fusion reference path (tests/test_fusion.cpp diffs the two).
-  /// Ignored by non-explicit basis schemes, which always use the
-  /// reference kernels.
-  bool fused_iteration = true;
-
   BasisScheme basis = BasisScheme::kExplicitInverse;
   /// Product-form basis: reinvert after this many etas (0 = at m etas).
   std::size_t reinversion_period = 0;

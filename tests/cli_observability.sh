@@ -10,14 +10,16 @@
 #      recording written by the combined run is byte-identical to the
 #      record-only run, and the profile and telemetry JSON artifacts
 #      (deterministic: modeled time only) are byte-identical between the
-#      solo and combined runs.
+#      solo and combined runs — under both basis schemes.
 #   2. A record -> replay round trip verifies every decision with zero
 #      mismatches and reproduces the same solve.
 #   3. A float-vs-double pair on data/precision_tie.lp diverges at pivot 0
 #      and `lp_cli --diff` says so.
 #   4. An unknown --engine/--basis/--pricing/--scale/--device value is a
 #      usage error (exit 1, accepted values listed), never a silent
-#      fallback to the default.
+#      fallback to the default; so is a malformed count (--max-iters,
+#      --gen sizes and seeds, --serve-bench): anything but a whole string
+#      of digits that fits 64 bits (a --gen size: at most 2^22).
 set -u
 LP_CLI=$1
 DATA=$2
@@ -35,40 +37,48 @@ solve_lines() {
     | sed 's/ ms, wall:.*$/ ms/'
 }
 
-"$LP_CLI" --gen $GEN >plain.out || fail "plain run"
-"$LP_CLI" --gen $GEN --trace trace_solo.json >trace.out || fail "--trace run"
-"$LP_CLI" --gen $GEN --metrics=metrics_solo.json >metrics.out \
-  || fail "--metrics run"
-"$LP_CLI" --gen $GEN --check >check.out || fail "--check run"
-"$LP_CLI" --gen $GEN --record=solo.gsrec >record.out || fail "--record run"
-"$LP_CLI" --gen $GEN --profile=prof_solo.json >profile.out \
-  || fail "--profile run"
-"$LP_CLI" --gen $GEN --telemetry=tel_solo.json >telemetry.out \
-  || fail "--telemetry run"
-"$LP_CLI" --gen $GEN --trace trace_comb.json --metrics=metrics_comb.json \
-  --check --record=comb.gsrec --profile=prof_comb.json \
-  --telemetry=tel_comb.json >combined.out \
-  || fail "combined run"
+# Step 1, once per basis scheme: every observer alone, then all at once.
+observers_inert() {
+  local basis=$1
+  # shellcheck disable=SC2086  # $basis is empty or a flag and its value
+  run() { "$LP_CLI" --gen $GEN $basis "$@"; }
+  run >plain.out || fail "plain run ($basis)"
+  run --trace trace_solo.json >trace.out || fail "--trace run ($basis)"
+  run --metrics=metrics_solo.json >metrics.out \
+    || fail "--metrics run ($basis)"
+  run --check >check.out || fail "--check run ($basis)"
+  run --record=solo.gsrec >record.out || fail "--record run ($basis)"
+  run --profile=prof_solo.json >profile.out || fail "--profile run ($basis)"
+  run --telemetry=tel_solo.json >telemetry.out \
+    || fail "--telemetry run ($basis)"
+  run --trace trace_comb.json --metrics=metrics_comb.json \
+    --check --record=comb.gsrec --profile=prof_comb.json \
+    --telemetry=tel_comb.json >combined.out \
+    || fail "combined run ($basis)"
 
-solve_lines plain.out >expected.txt
-for f in trace.out metrics.out check.out record.out profile.out \
-         telemetry.out combined.out; do
-  solve_lines "$f" >got.txt
-  diff expected.txt got.txt >/dev/null \
-    || fail "$f: solve differs from plain run (observers must be inert)"
-done
-cmp -s solo.gsrec comb.gsrec \
-  || fail "combined-run recording differs from record-only recording"
-grep -q 'profile: reconciled bit-exactly' profile.out \
-  || fail "--profile run did not report bit-exact reconciliation"
-cmp -s prof_solo.json prof_comb.json \
-  || fail "combined-run profile differs from profile-only run"
-test -s prof_solo.json.folded \
-  || fail "--profile did not write the collapsed-stack flamegraph"
-cmp -s tel_solo.json tel_comb.json \
-  || fail "combined-run telemetry differs from telemetry-only run"
-grep -q 'gs-telemetry-v1' tel_solo.json \
-  || fail "telemetry artifact is missing its schema tag"
+  solve_lines plain.out >expected.txt
+  for f in trace.out metrics.out check.out record.out profile.out \
+           telemetry.out combined.out; do
+    solve_lines "$f" >got.txt
+    diff expected.txt got.txt >/dev/null \
+      || fail "$f: solve differs from plain run ($basis; observers must be inert)"
+  done
+  cmp -s solo.gsrec comb.gsrec \
+    || fail "combined-run recording differs from record-only recording ($basis)"
+  grep -q 'profile: reconciled bit-exactly' profile.out \
+    || fail "--profile run did not report bit-exact reconciliation ($basis)"
+  cmp -s prof_solo.json prof_comb.json \
+    || fail "combined-run profile differs from profile-only run ($basis)"
+  test -s prof_solo.json.folded \
+    || fail "--profile did not write the collapsed-stack flamegraph ($basis)"
+  cmp -s tel_solo.json tel_comb.json \
+    || fail "combined-run telemetry differs from telemetry-only run ($basis)"
+  grep -q 'gs-telemetry-v1' tel_solo.json \
+    || fail "telemetry artifact is missing its schema tag ($basis)"
+}
+observers_inert "--basis product-form"
+# The explicit-inverse pass runs last: steps 2 and 3 reuse its files.
+observers_inert ""
 
 # Record -> replay round trip.
 "$LP_CLI" --gen $GEN --replay=solo.gsrec >replay.out \
@@ -98,6 +108,23 @@ for bad in "--engine dula" "--basis lu" "--pricing dantzg" "--scale log" \
   [ "$rc" -eq 1 ] || fail "$bad: exit $rc, expected 1 (unknown value)"
   grep -q 'accepted:' bad.err \
     || fail "$bad: the error does not list the accepted values"
+done
+
+# Malformed counts are rejected. Values past 2^64 - 1 (or, for a --gen
+# size, past 2^22), negative values and trailing text must never wrap or
+# truncate into a solve.
+for bad in "--gen $GEN --max-iters foo" "--gen $GEN --max-iters -1" \
+           "--gen $GEN --max-iters 12abc" "--gen $GEN --max-iters +5" \
+           "--gen $GEN --max-iters 18446744073709551616" \
+           "--gen dense:24x" "--gen dense:24:7z" "--gen dense:-5" \
+           "--gen dense:4194305" "--gen sparse:9223372036854775808" \
+           "--gen dense:" "--gen sparse:-1:3" "--gen klee:3x" \
+           "--serve-bench=-1:32" "--serve-bench=4:-2" "--serve-bench=4x"; do
+  # shellcheck disable=SC2086  # $bad is a word list by design
+  "$LP_CLI" $bad >bad.out 2>bad.err
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "$bad: exit $rc, expected 1 (malformed count)"
+  grep -q 'usage:' bad.err || fail "$bad: no usage message"
 done
 
 echo "cli_observability: all checks passed"

@@ -404,45 +404,47 @@ TEST(Precision, FloatSolveIsModeledFasterOnComputeHeavyWork) {
 // ------------------------------------------------------------------ stats
 
 TEST(Stats, DeviceEngineReportsKernelBreakdown) {
+  // Both basis schemes run the fused iteration: the pricing chain, the
+  // ratio chain and the basis update each appear as ONE kernel, and none
+  // of the pre-fusion chain's kernels is launched.
   const auto problem = lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 1});
-  const SolveResult r = solve(problem, Engine::kDeviceRevised);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  const auto& ds = r.stats.device_stats;
-  EXPECT_GT(ds.kernel_launches, 0u);
-  EXPECT_GT(ds.h2d_bytes, 0u);   // initial uploads
-  EXPECT_GT(ds.d2h_count, 0u);   // per-iteration descriptor readbacks
-  // Default path is the fused iteration: the pricing chain, the FTRAN +
-  // ratio chain and the rank-1 update each appear as ONE kernel.
-  for (const char* kernel :
+  struct Scheme {
+    BasisScheme basis;
+    std::vector<const char*> kernels;
+  };
+  const Scheme schemes[] = {
+      {BasisScheme::kExplicitInverse,
        {"binv_init", "price_btran", "price_select", "ftran_ratio",
-        "pivot_stage", "pivot_apply"}) {
-    EXPECT_TRUE(ds.per_kernel.contains(kernel)) << kernel;
+        "pivot_stage", "pivot_apply"}},
+      {BasisScheme::kProductForm,
+       {"binv_init", "price_btran", "price_select", "ftran", "ratio_select",
+        "pivot_stage_pf", "make_eta"}}};
+  for (const Scheme& scheme : schemes) {
+    SCOPED_TRACE(to_string(scheme.basis));
+    SolverOptions opt;
+    opt.basis = scheme.basis;
+    const SolveResult r = solve(problem, Engine::kDeviceRevised, opt);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    const auto& ds = r.stats.device_stats;
+    EXPECT_GT(ds.kernel_launches, 0u);
+    EXPECT_GT(ds.h2d_bytes, 0u);  // initial uploads
+    EXPECT_GT(ds.d2h_count, 0u);  // per-iteration descriptor readbacks
+    for (const char* kernel : scheme.kernels) {
+      EXPECT_TRUE(ds.per_kernel.contains(kernel)) << kernel;
+    }
+    for (const char* gone :
+         {"price_reduced", "ratio", "update_beta", "update_binv", "argmin",
+          "argmin_final", "find_first_below", "devex_score"}) {
+      EXPECT_FALSE(ds.per_kernel.contains(gone)) << gone;
+    }
+    EXPECT_GT(r.stats.sim_seconds, 0.0);
+    EXPECT_GT(r.stats.wall_seconds, 0.0);
+    EXPECT_NEAR(r.stats.sim_seconds, ds.sim_seconds(), 1e-12);
+    // The explicit inverse's FTRAN is fused into ftran_ratio.
+    if (scheme.basis == BasisScheme::kExplicitInverse) {
+      EXPECT_FALSE(ds.per_kernel.contains("ftran"));
+    }
   }
-  for (const char* gone :
-       {"price_reduced", "ftran", "ratio", "update_beta", "update_binv"}) {
-    EXPECT_FALSE(ds.per_kernel.contains(gone)) << gone;
-  }
-  EXPECT_GT(r.stats.sim_seconds, 0.0);
-  EXPECT_GT(r.stats.wall_seconds, 0.0);
-  EXPECT_NEAR(r.stats.sim_seconds, ds.sim_seconds(), 1e-12);
-}
-
-TEST(Stats, ReferencePathReportsUnfusedKernelBreakdown) {
-  const auto problem = lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 1});
-  vgpu::Device dev(vgpu::gtx280_model());
-  SolverOptions opt;
-  opt.fused_iteration = false;
-  DeviceRevisedSimplex<double> solver(dev, opt);
-  const SolveResult r = solver.solve(problem);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  const auto& ds = r.stats.device_stats;
-  for (const char* kernel :
-       {"price_btran", "price_reduced", "ftran", "ratio", "update_beta",
-        "update_binv"}) {
-    EXPECT_TRUE(ds.per_kernel.contains(kernel)) << kernel;
-  }
-  EXPECT_FALSE(ds.per_kernel.contains("price_select"));
-  EXPECT_FALSE(ds.per_kernel.contains("ftran_ratio"));
 }
 
 TEST(Stats, HostEngineMetersItsSteps) {
