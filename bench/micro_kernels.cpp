@@ -210,9 +210,21 @@ void BM_PivotApply(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_PivotApply, float)->Arg(256)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_PivotApply, double)->Arg(256)->Arg(1024);
 
+/// Standard form + augmentation of the e2ebench sparse-basis instance:
+/// m x 4m at density 0.005 (m = 512 there).
+struct SparseSetup {
+  explicit SparseSetup(std::size_t m)
+      : sf(lp::to_standard_form(lp::random_sparse_lp(
+            {.rows = m, .cols = 4 * m, .density = 0.005, .seed = 1}))),
+        aug(simplex::augment(sf)) {}
+  lp::StandardFormLp sf;
+  simplex::AugmentedLp aug;
+};
+
+template <typename Setup>
 void BM_HostPrice(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  const DenseSetup setup(m);
+  const Setup setup(m);
   const simplex::SolverOptions opt;
   simplex::CostMeter meter(vgpu::cpu2009_model());
   simplex::host::State s(setup.aug, opt, meter);
@@ -226,7 +238,28 @@ void BM_HostPrice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(setup.aug.n_aug * m));
 }
-BENCHMARK(BM_HostPrice)->Arg(256)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_HostPrice, DenseSetup)->Arg(256)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_HostPrice, SparseSetup)->Arg(512);
+
+// Building the host engines' A^T once per solve, on the m x m dense LP:
+// the CSR builder against the dense copy.
+void BM_HostAtCsr(benchmark::State& state) {
+  const DenseSetup setup(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto at = setup.aug.csr_at();
+    benchmark::DoNotOptimize(at.values().data());
+  }
+}
+BENCHMARK(BM_HostAtCsr)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+void BM_HostAtDense(benchmark::State& state) {
+  const DenseSetup setup(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto at = setup.aug.dense_at();
+    benchmark::DoNotOptimize(at.flat().data());
+  }
+}
+BENCHMARK(BM_HostAtDense)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,6 +30,21 @@ run_config() {
 
 run_config build        -DCMAKE_BUILD_TYPE=Release
 
+# Golden-log gate contract (tests/golden_records.sh): a top-level
+# data/golden/*.gsrec that is neither a MANIFEST case nor a test-owned log
+# would pin nothing, so a doctored copy of data/ carrying one must fail.
+echo "==> golden_records orphan-log contract"
+orphan_dir=$(mktemp -d)
+cp -r data "${orphan_dir}/data"
+cp data/golden/beale.host.gsrec "${orphan_dir}/data/golden/orphan.gsrec"
+rc=0
+bash tests/golden_records.sh build/examples/lp_cli "${orphan_dir}/data" \
+  > /dev/null 2> "${orphan_dir}/err" || rc=$?
+grep -q 'FAIL orphan.gsrec' "${orphan_dir}/err" || rc=0
+rm -rf "${orphan_dir}"
+[ "${rc}" -ne 0 ] || {
+  echo "expected a non-zero exit on an orphan golden log"; exit 1; }
+
 # Bench regression gate (OBSERVABILITY.md "Metrics"): regenerate the
 # machine-readable bench artifact from the Release build and diff it
 # against the committed baseline. Modeled runtimes get a 25% band;

@@ -34,21 +34,8 @@ class ColumnSource {
   virtual void gather(std::uint32_t col, std::span<double> out) const = 0;
 };
 
-/// Dense A^T source (n_aug x m): row j of A^T is column j of A.
-class DenseColumnSource final : public ColumnSource {
- public:
-  explicit DenseColumnSource(const vblas::Matrix<double>& at) : at_(&at) {}
-  void gather(std::uint32_t col, std::span<double> out) const override {
-    const auto row = at_->row(col);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = row[i];
-  }
-
- private:
-  const vblas::Matrix<double>* at_;
-};
-
 /// CSR A^T source (n_aug x m): row j of A^T holds the nonzeros of
-/// column j of A — the scalable source for sparse instances.
+/// column j of A.
 class CsrColumnSource final : public ColumnSource {
  public:
   explicit CsrColumnSource(const sparse::CsrMatrix<double>& at) : at_(&at) {}

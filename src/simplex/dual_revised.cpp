@@ -91,16 +91,9 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
     std::fill(s.cb.begin(), s.cb.end(), 0.0);
     s.cb[r] = 1.0;
     s.oracle->btran(s.cb, s.pi);
-    for (std::size_t j = 0; j < s.n_aug; ++j) {
-      if (!s.may_enter(j)) {
-        s.arow[j] = 0.0;
-        continue;
-      }
-      const auto col = s.at.row(j);
-      double acc = 0.0;
-      for (std::size_t i = 0; i < s.m; ++i) acc += col[i] * s.pi[i];
-      s.arow[j] = acc;
-    }
+    std::fill(s.arow.begin(), s.arow.end(), 0.0);
+    host::admissible_dots(
+        s, s.pi, [&s](std::size_t j, double dot) { s.arow[j] = dot; });
     s.meter.charge("dual_pivot_row", 2.0 * double(s.n_aug) * double(s.m),
                    double((s.n_aug * s.m + 2 * s.n_aug) * sizeof(double)));
     // ---- dual ratio test ----

@@ -24,7 +24,7 @@ using host::State;
 /// Post-optimal sensitivity analysis (classical ranging): how far each rhs
 /// and each objective coefficient can move before the optimal basis (rhs)
 /// or the optimal point (cost) changes. Uses the final B^-1, beta and
-/// reduced costs; O(n*m) per basic variable.
+/// reduced costs; one sweep over A's nonzeros per basic variable.
 [[nodiscard]] RangingInfo compute_ranging(const State& s,
                                           const lp::StandardFormLp& sf) {
   constexpr double tol = 1e-9;
@@ -63,6 +63,7 @@ using host::State;
   out.cost_upper.assign(nvars, kInf);
   const double sign_obj = sf.negated ? -1.0 : 1.0;
   std::vector<std::int64_t> row_of(s.n_aug, -1);
+  std::vector<double> brow(m), weights(s.n_aug);
   for (std::size_t r = 0; r < m; ++r) row_of[s.basic[r]] = std::int64_t(r);
   for (std::size_t j = 0; j < nvars; ++j) {
     const auto& vm = sf.var_maps[j];
@@ -85,15 +86,14 @@ using host::State;
       // Basic at row r: every admissible reduced cost d_k moves by
       // -delta * (B^-1 A)_{r,k}.
       const auto r = static_cast<std::size_t>(row_of[vm.col]);
-      std::vector<double> brow(m);
       s.oracle->binv_row(r, brow);
+      host::admissible_dots(
+          s, brow, [&](std::size_t k, double w) { weights[k] = w; });
       dlo = -kInf;
       dhi = kInf;
       for (std::size_t k = 0; k < s.n_aug; ++k) {
         if (!s.may_enter(k)) continue;
-        const auto col = s.at.row(k);
-        double w = 0.0;
-        for (std::size_t t = 0; t < m; ++t) w += col[t] * brow[t];
+        const double w = weights[k];
         if (w > tol) {
           dhi = std::min(dhi, s.d[k] / w);
         } else if (w < -tol) {

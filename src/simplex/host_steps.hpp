@@ -20,8 +20,8 @@
 #include "simplex/phase_setup.hpp"
 #include "simplex/primal_driver.hpp"
 #include "simplex/types.hpp"
+#include "sparse/csr.hpp"
 #include "support/timer.hpp"
-#include "vblas/containers.hpp"
 #include "vblas/dot_rows.hpp"
 
 namespace gs::simplex::host {
@@ -36,7 +36,7 @@ struct State {
       : aug(aug_in),
         m(aug_in.m),
         n_aug(aug_in.n_aug),
-        at(aug_in.dense_at()),
+        at(aug_in.csr_at()),
         cols(at),
         beta(aug_in.beta_init),
         pi(m),
@@ -77,8 +77,10 @@ struct State {
 
   const AugmentedLp& aug;
   std::size_t m, n_aug;
-  vblas::Matrix<double> at;  ///< A^T augmented (n_aug x m)
-  basis::DenseColumnSource cols;
+  /// A^T augmented (n_aug x m) by its nonzeros: row j lists column j of
+  /// A in strictly ascending row order.
+  sparse::CsrMatrix<double> at;
+  basis::CsrColumnSource cols;
   std::unique_ptr<basis::BasisOracle> oracle;
   std::vector<double> beta, pi, d, alpha;
   std::vector<double> colbuf, cb;  ///< oracle call scratch
@@ -108,37 +110,93 @@ inline void btran(State& s) {
   s.oracle->btran(s.cb, s.pi);
 }
 
-/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise. Columns are
-/// swept in chunks: the admissible ones of each chunk go through one
-/// blocked dot_rows call.
-inline void price(State& s) {
+/// True iff no entry of `y` is infinite or NaN.
+[[nodiscard]] inline bool all_finite(std::span<const double> y) {
+  return std::all_of(y.begin(), y.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+/// a_j . y, bit for bit the dense scalar loop over all m rows. For a
+/// finite y only column j's nonzeros are visited, in ascending row order:
+/// a skipped zero term adds ±0, which leaves the accumulator unchanged (it
+/// starts at +0 and is never −0). A non-finite y keeps every dense term,
+/// 0 * y_r for the absent rows, since 0 * inf is NaN. DESIGN.md "Blocked
+/// hot loops" has the argument.
+[[nodiscard]] inline double column_dot(const State& s, std::size_t j,
+                                       const double* y, bool y_finite) {
+  const std::uint32_t end = s.at.row_offsets()[j + 1];
+  const std::uint32_t* idx = s.at.col_indices().data();
+  const double* val = s.at.values().data();
+  std::uint32_t k = s.at.row_offsets()[j];
+  double acc = 0.0;
+  if (y_finite) {
+    for (; k < end; ++k) acc += val[k] * y[idx[k]];
+  } else {
+    for (std::size_t r = 0; r < s.m; ++r) {
+      acc += (k < end && idx[k] == r ? val[k++] : 0.0) * y[r];
+    }
+  }
+  return acc;
+}
+
+/// A(i, j): read directly from a full column (its value run is the dense
+/// column), else a binary search of column j's ascending row indices.
+[[nodiscard]] inline double entry(const State& s, std::size_t j,
+                                  std::size_t i) {
+  const std::uint32_t lo = s.at.row_offsets()[j];
+  const std::uint32_t hi = s.at.row_offsets()[j + 1];
+  if (hi - lo == s.m) return s.at.values()[lo + i];
+  const auto& idx = s.at.col_indices();
+  const auto it = std::lower_bound(idx.begin() + lo, idx.begin() + hi, i);
+  return it != idx.begin() + hi && *it == i
+             ? s.at.values()[std::size_t(it - idx.begin())]
+             : 0.0;
+}
+
+/// put(j, a_j . y) for every column j that may enter. Full columns
+/// (nnz == m: their value run is the dense column) go in chunks through
+/// the blocked dot_rows_by; the others walk their nonzeros. Every value is
+/// bit for bit the dense scalar loop.
+template <class Put>
+inline void admissible_dots(const State& s, std::span<const double> y,
+                            Put put) {
+  const bool y_finite = all_finite(y);
+  const auto& offs = s.at.row_offsets();
+  const double* val = s.at.values().data();
   constexpr std::size_t kChunk = 256;
-  std::array<std::uint32_t, kChunk> cols;
+  std::array<std::uint32_t, kChunk> full;
   std::array<double, kChunk> dots;
   for (std::size_t lo = 0; lo < s.n_aug; lo += kChunk) {
     const std::size_t hi = std::min(s.n_aug, lo + kChunk);
     std::size_t count = 0;
     for (std::size_t j = lo; j < hi; ++j) {
-      if (s.may_enter(j)) {
-        cols[count++] = static_cast<std::uint32_t>(j);
+      if (!s.may_enter(j)) continue;
+      if (offs[j + 1] - offs[j] == s.m) {
+        full[count++] = static_cast<std::uint32_t>(j);
       } else {
-        s.d[j] = 0.0;
+        put(j, column_dot(s, j, y.data(), y_finite));
       }
     }
-    vblas::dot_rows(s.at.flat().data(), s.m,
-                    std::span<const std::uint32_t>(cols.data(), count),
-                    s.pi.data(), s.m, dots.data());
-    for (std::size_t t = 0; t < count; ++t) {
-      s.d[cols[t]] = s.c[cols[t]] - dots[t];
-    }
+    vblas::detail::dot_rows_by(
+        count, [&](std::size_t t) { return val + offs[full[t]]; }, y.data(),
+        s.m, dots.data());
+    for (std::size_t t = 0; t < count; ++t) put(full[t], dots[t]);
   }
+}
+
+/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise.
+inline void price(State& s) {
+  std::fill(s.d.begin(), s.d.end(), 0.0);
+  admissible_dots(s, s.pi,
+                  [&s](std::size_t j, double dot) { s.d[j] = s.c[j] - dot; });
   s.meter.charge("price_reduced", 2.0 * double(s.n_aug) * double(s.m),
                  double((s.n_aug * s.m + 3 * s.n_aug) * sizeof(double)));
 }
 
 /// alpha = B^-1 a_q via the oracle's FTRAN.
 inline void ftran(State& s, std::size_t q) {
-  for (std::size_t k = 0; k < s.m; ++k) s.colbuf[k] = s.at(q, k);
+  std::fill(s.colbuf.begin(), s.colbuf.end(), 0.0);
+  s.cols.gather(static_cast<std::uint32_t>(q), s.colbuf);
   s.oracle->ftran(s.colbuf, s.alpha);
 }
 
@@ -197,6 +255,7 @@ inline SolveResult finish(const State& s, const WallTimer& wall,
 struct Steps {
   State& s;
   std::vector<double> brow{};  ///< drive-out row of B^-1
+  bool brow_finite = true;     ///< all_finite(brow)
 
   [[nodiscard]] const trace::Track& track() const { return s.meter.trace(); }
   [[nodiscard]] double now() const { return s.meter.sim_seconds(); }
@@ -277,9 +336,10 @@ struct Steps {
   }
   bool refactor() { return s.oracle->refactorize(s.basic); }
 
-  /// Probes entries of B·B⁻¹ − I directly from the dense A^T — column k of
-  /// B is the constraint column of basic[k], so one probe is an O(m) dot
-  /// product — and takes max |B⁻¹| over the probed rows as the growth.
+  /// Probes entries of B·B⁻¹ − I directly from A^T — column k of B is the
+  /// constraint column of basic[k], so one probe is an O(m log m) dot
+  /// product over the looked-up entries A(i, basic[k]) — and takes max
+  /// |B⁻¹| over the probed rows as the growth.
   [[nodiscard]] HealthProbe probe_health(std::size_t iter,
                                          std::size_t probes) const {
     const std::size_t m = s.m;
@@ -291,7 +351,9 @@ struct Steps {
       const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
       s.oracle->binv_col(j, bcol);
       double acc = 0.0;
-      for (std::size_t k = 0; k < m; ++k) acc += s.at(s.basic[k], i) * bcol[k];
+      for (std::size_t k = 0; k < m; ++k) {
+        acc += entry(s, s.basic[k], i) * bcol[k];
+      }
       h.residual = std::max(h.residual, std::abs(acc - (i == j ? 1.0 : 0.0)));
       s.oracle->binv_row(i, row);
       for (const double v : row) h.growth = std::max(h.growth, std::abs(v));
@@ -302,15 +364,14 @@ struct Steps {
   void drive_out_row(std::size_t i) {
     brow.resize(s.m);
     s.oracle->binv_row(i, brow);
+    brow_finite = all_finite(brow);
     s.meter.charge("driveout_row", 2.0 * double(s.aug.n) * double(s.m),
                    double((s.aug.n * s.m) * sizeof(double)));
   }
   [[nodiscard]] double row_weight(std::size_t j) const {
-    const auto col = s.at.row(j);
-    double acc = 0.0;
-    for (std::size_t r = 0; r < s.m; ++r) acc += col[r] * brow[r];
-    return acc;
+    return column_dot(s, j, brow.data(), brow_finite);
   }
+
 };
 
 }  // namespace gs::simplex::host

@@ -1,5 +1,6 @@
 #include "simplex/phase_setup.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/error.hpp"
@@ -119,41 +120,56 @@ vblas::Matrix<double> AugmentedLp::dense_at() const {
 
 sparse::CsrMatrix<double> AugmentedLp::csr_at() const {
   GS_CHECK_MSG(source != nullptr, "AugmentedLp not initialized");
-  // Column-major walk of the standard form: transpose the row lists first.
+  const auto& rows = source->rows;
+  // Column counts. Each row lists its columns strictly ascending (the
+  // standard form's contract, checked here): so every column's row indices
+  // come out strictly ascending, and the fill below can walk column tiles.
   std::vector<std::uint32_t> offsets(n_aug + 1, 0);
-  for (const auto& row : source->rows) {
-    for (const lp::Term& t : row) ++offsets[t.var + 1];
-  }
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (is_artificial[basic[i]]) {
-      ++offsets[n + k + 1];
-      ++k;
+  for (const auto& row : rows) {
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      GS_CHECK_MSG(p == 0 || row[p - 1].var < row[p].var,
+                   "standard-form row not strictly sorted by column");
+      ++offsets[row[p].var + 1];
     }
   }
+  for (std::size_t k = 0; k < num_artificial; ++k) ++offsets[n + k + 1];
   for (std::size_t j = 1; j <= n_aug; ++j) offsets[j] += offsets[j - 1];
   const std::size_t nnz = offsets[n_aug];
-  std::vector<std::uint32_t> cols(nnz);
+  std::vector<std::uint32_t> rowidx(nnz);
   std::vector<double> vals(nnz);
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (const lp::Term& t : source->rows[i]) {
-      const std::uint32_t pos = cursor[t.var]++;
-      cols[pos] = static_cast<std::uint32_t>(i);
-      vals[pos] = t.coef;
+  // Fill a tile of a few columns at a time, every row contributing its run
+  // of that tile. A row-at-a-time scatter sends consecutive writes one
+  // column segment apart (m entries in a dense column), each to a different
+  // page; the sixteen write streams of an eight-column tile stay cached.
+  // Tiles widen on sparse inputs so that the per-tile pass over the rows
+  // costs at most a quarter of the nonzeros.
+  constexpr std::size_t kMinTile = 8;
+  const std::size_t row_passes = nnz / (4 * std::max<std::size_t>(m, 1));
+  const std::size_t tiles = std::clamp<std::size_t>(
+      row_passes, 1, std::max<std::size_t>(1, (n + kMinTile - 1) / kMinTile));
+  const std::size_t width = (n + tiles - 1) / tiles;
+  std::vector<std::size_t> next(m, 0);
+  for (std::size_t lo = 0; lo < n; lo += width) {
+    const std::size_t hi = std::min(n, lo + width);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto& row = rows[i];
+      std::size_t p = next[i];
+      for (; p < row.size() && row[p].var < hi; ++p) {
+        const std::uint32_t pos = cursor[row[p].var]++;
+        rowidx[pos] = static_cast<std::uint32_t>(i);
+        vals[pos] = row[p].coef;
+      }
+      next[i] = p;
     }
   }
-  k = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (is_artificial[basic[i]]) {
-      const std::uint32_t pos = cursor[n + k]++;
-      cols[pos] = static_cast<std::uint32_t>(i);
-      vals[pos] = 1.0;
-      ++k;
-    }
+  for (std::size_t k = 0; k < num_artificial; ++k) {
+    const std::uint32_t pos = offsets[n + k];
+    rowidx[pos] = artificial_rows[k];
+    vals[pos] = 1.0;
   }
   return sparse::CsrMatrix<double>(n_aug, m, std::move(offsets),
-                                   std::move(cols), std::move(vals));
+                                   std::move(rowidx), std::move(vals));
 }
 
 vblas::Matrix<double> AugmentedLp::dense_a() const {

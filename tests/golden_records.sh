@@ -9,7 +9,9 @@
 # every pivot with zero reduced-cost and step-length deltas, and the two
 # files are byte-identical (which also pins the logged pivot values, the
 # status and the final basis). A kernel rewrite that moves one rounding
-# anywhere in a solve fails here.
+# anywhere in a solve fails here. A top-level .gsrec that is neither a
+# case nor a test-owned log named in the MANIFEST fails too: a log nothing
+# checks would pin nothing.
 set -u
 LP_CLI=$1
 DATA=$2
@@ -47,4 +49,23 @@ while read -r name args; do
 done <"$GOLDEN/MANIFEST"
 
 [ $cases -gt 0 ] || { echo "FAIL: no cases in $GOLDEN/MANIFEST" >&2; exit 1; }
+
+# No ungated golden log: every top-level .gsrec is a MANIFEST case or a
+# test-owned log named on a "# test-owned: <file>" line of the MANIFEST.
+known=$(awk '/^# test-owned: / { print $3; next }
+             $1 != "" && $1 !~ /^#/ { print $1 ".gsrec" }' "$GOLDEN/MANIFEST")
+for log in "$GOLDEN"/*.gsrec; do
+  [ -e "$log" ] || continue
+  file=$(basename "$log")
+  if ! grep -qxF "$file" <<<"$known"; then
+    echo "FAIL $file: not a MANIFEST case and not a test-owned log" >&2
+    fail=1
+  fi
+done
+while read -r file; do
+  if [ ! -f "$GOLDEN/$file" ]; then
+    echo "FAIL $file: named in the MANIFEST but missing" >&2
+    fail=1
+  fi
+done <<<"$known"
 exit $fail

@@ -6,14 +6,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "lp/generators.hpp"
+#include "lp/standard_form.hpp"
 #include "record/record.hpp"
 #include "simplex/basis/explicit_inverse.hpp"
 #include "simplex/basis/product_form.hpp"
 #include "simplex/basis/sparse_lu.hpp"
 #include "simplex/cost_meter.hpp"
+#include "simplex/host_steps.hpp"
 #include "simplex/solver.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
@@ -348,6 +354,132 @@ TEST(DeviceSparseBasis, SparseEtaKernelsCostLessThanDenseEtas) {
       pkd.at("eta_ftran").bytes + pkd.at("eta_btran_dot").bytes;
   const double sparse_eta_bytes = sparse_eta.bytes;
   EXPECT_LT(sparse_eta_bytes, dense_eta_bytes);
+}
+
+[[nodiscard]] std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// host::price walks each column's nonzeros and skips the zero terms only
+// while pi is finite: with +inf, -inf or NaN in rows that some columns
+// lack, 0 * inf = NaN makes the dense terms count, so every reduced cost
+// must still carry the bits of the dense scalar loop over dense_at().
+// The dense LP has full structural columns (the blocked path) and
+// one-entry slacks; the sparse LP has neither.
+TEST(HostSweep, PriceMatchesDenseLoopOnNonFinitePi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<lp::LpProblem> problems = {
+      lp::random_dense_lp({.rows = 13, .cols = 11, .seed = 6}),
+      lp::random_sparse_lp(
+          {.rows = 24, .cols = 96, .density = 0.08, .seed = 5}),
+  };
+  for (const lp::LpProblem& problem : problems) {
+    const lp::StandardFormLp sf = lp::to_standard_form(problem);
+    const simplex::AugmentedLp aug = simplex::augment(sf);
+    const auto at = aug.dense_at();
+    const simplex::SolverOptions opt;
+    simplex::CostMeter meter(vgpu::cpu2009_model());
+    simplex::host::State s(aug, opt, meter);
+    s.c = aug.c_phase2;
+    const std::size_t m = aug.m;
+    std::vector<std::vector<double>> pis;
+    pis.push_back(random_vec(m, 17));
+    for (const double bad : {kInf, -kInf, std::nan("")}) {
+      std::vector<double> pi = random_vec(m, 17);
+      pi[1] = bad;
+      pi[m - 2] = bad;
+      pis.push_back(pi);
+    }
+    for (std::size_t v = 0; v < pis.size(); ++v) {
+      s.pi = pis[v];
+      simplex::host::price(s);
+      for (std::size_t j = 0; j < aug.n_aug; ++j) {
+        double want = 0.0;
+        if (s.may_enter(j)) {
+          double acc = 0.0;
+          for (std::size_t k = 0; k < m; ++k) acc += at(j, k) * s.pi[k];
+          want = s.c[j] - acc;
+        }
+        ASSERT_EQ(bits(s.d[j]), bits(want))
+            << problem.name() << " pi variant " << v << " column " << j;
+      }
+    }
+  }
+}
+
+/// `base` with every even row's rhs scaled by 0.3 and every odd row's by
+/// 1.5: its optimal basis stays dual feasible but not primal feasible.
+[[nodiscard]] lp::LpProblem with_moved_rhs(const lp::LpProblem& base) {
+  lp::LpProblem moved(base.objective(), base.name());
+  for (const lp::Variable& v : base.variables()) {
+    moved.add_variable(v.name, v.objective_coef, v.lower, v.upper);
+  }
+  for (std::size_t i = 0; i < base.num_constraints(); ++i) {
+    const lp::Constraint& c = base.constraint(i);
+    moved.add_constraint(c.name, c.terms, c.sense,
+                         (i % 2 == 0 ? 0.3 : 1.5) * c.rhs);
+  }
+  return moved;
+}
+
+// The dual loop (pivot row, dual ratio test, dual update) runs in no
+// lp_cli golden case: a cold dual start on those instances is primal
+// feasible. Here sparse:96:7 is re-solved with its rhs moved, warm-started
+// from the unperturbed optimal basis. A dual pivot has a negative pivot
+// element (a primal one a positive), so the log proves the dual loop ran.
+// The logs and objective bits were recorded at ce60b32, when the host
+// engines swept a dense A^T copy (data/golden/MANIFEST).
+TEST(Dual, WarmStartDecisionLogMatchesGoldenLog) {
+  const lp::LpProblem base = lp::random_sparse_lp(
+      {.rows = 96, .cols = 192, .density = 0.02, .seed = 7});
+  const lp::LpProblem moved = with_moved_rhs(base);
+  struct Case {
+    simplex::BasisScheme scheme;
+    const char* log;
+  };
+  for (const Case& c :
+       {Case{simplex::BasisScheme::kExplicitInverse,
+             "dual_warm_sparse_96_7.gsrec"},
+        Case{simplex::BasisScheme::kProductForm,
+             "dual_warm_sparse_96_7.pf.gsrec"}}) {
+    SCOPED_TRACE(c.log);
+    simplex::SolverOptions cold_opt;
+    cold_opt.basis = c.scheme;
+    const auto cold =
+        simplex::solve(base, simplex::Engine::kDualRevised, cold_opt);
+    ASSERT_EQ(cold.status, simplex::SolveStatus::kOptimal);
+
+    record::Recorder rec;
+    simplex::SolverOptions opt;
+    opt.basis = c.scheme;
+    opt.warm_basis = &cold.basis;
+    opt.recorder = &rec;
+    const auto warm = simplex::solve(moved, simplex::Engine::kDualRevised, opt);
+    ASSERT_EQ(warm.status, simplex::SolveStatus::kOptimal);
+    EXPECT_TRUE(warm.stats.warm_started);
+    std::size_t dual_pivots = 0;
+    for (const record::DecisionRecord& e : rec.recording().records) {
+      if (e.kind == record::RecordKind::kPivot && e.pivot_value < 0.0) {
+        ++dual_pivots;
+      }
+    }
+    EXPECT_GT(dual_pivots, 0u);
+
+    const record::Recording golden = record::Recording::read_file(
+        std::string(GS_SOURCE_DIR) + "/data/golden/" + c.log);
+    const record::DiffResult d = record::diff(golden, rec.recording());
+    EXPECT_TRUE(d.comparable) << d.describe();
+    EXPECT_FALSE(d.diverged) << d.describe();
+    EXPECT_EQ(d.max_reduced_cost_delta, 0.0);
+    EXPECT_EQ(d.max_theta_delta, 0.0);
+    std::ostringstream want, got;
+    golden.write(want);
+    rec.recording().write(got);
+    EXPECT_EQ(want.str(), got.str()) << "decision log is not byte-identical";
+    EXPECT_EQ(bits(warm.objective), 0xc05b5da7a1461debull);
+  }
 }
 
 }  // namespace

@@ -3,10 +3,19 @@
 // the objective moves linearly at the dual rate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "lp/generators.hpp"
 #include "lp/problem.hpp"
+#include "lp/standard_form.hpp"
+#include "simplex/cost_meter.hpp"
+#include "simplex/host_steps.hpp"
+#include "simplex/primal_driver.hpp"
 #include "simplex/solver.hpp"
 
 namespace gs::simplex {
@@ -209,6 +218,65 @@ TEST(Ranging, FreeVariableCostRangeIsNan) {
   ASSERT_TRUE(r.ranging.has_value());
   EXPECT_TRUE(std::isnan(r.ranging->cost_lower[0]));
   EXPECT_TRUE(std::isnan(r.ranging->cost_upper[0]));
+}
+
+[[nodiscard]] std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Cost ranging sweeps A^T by its nonzeros. On sparse:96:7 its ranges must
+// be bit-equal to the dense reference loop below (a full m-term dot of
+// each dense_at() row with the B^-1 row), run over the final state of the
+// same host solve, re-driven here step by step.
+TEST(Ranging, SparseCostRangesMatchDenseReferenceBits) {
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  const LpProblem problem = lp::random_sparse_lp(
+      {.rows = 96, .cols = 192, .density = 0.02, .seed = 7});
+  const SolveResult r = solve_with_ranging(problem);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(r.ranging.has_value());
+
+  const lp::StandardFormLp sf = lp::to_standard_form(problem);
+  const AugmentedLp aug = augment(sf);
+  const SolverOptions opt;
+  CostMeter meter(vgpu::cpu2009_model());
+  host::State s(aug, opt, meter);
+  host::Steps steps{s};
+  SolverStats stats;
+  PrimalDriver driver(steps, aug, opt, stats);
+  ASSERT_EQ(driver.run_phases(aug.num_artificial > 0), SolveStatus::kOptimal);
+
+  const auto at = aug.dense_at();
+  const std::size_t m = aug.m;
+  std::vector<std::int64_t> row_of(aug.n_aug, -1);
+  for (std::size_t i = 0; i < m; ++i) row_of[s.basic[i]] = std::int64_t(i);
+  std::vector<double> brow(m);
+  std::size_t basic_vars = 0;
+  for (std::size_t j = 0; j < sf.var_maps.size(); ++j) {
+    const std::uint32_t col = sf.var_maps[j].col;
+    double dlo = -s.d[col], dhi = kInfinity;
+    if (row_of[col] >= 0) {
+      ++basic_vars;
+      s.oracle->binv_row(static_cast<std::size_t>(row_of[col]), brow);
+      dlo = -kInfinity;
+      for (std::size_t k = 0; k < aug.n_aug; ++k) {
+        if (!s.may_enter(k)) continue;
+        double w = 0.0;
+        for (std::size_t t = 0; t < m; ++t) w += at(k, t) * brow[t];
+        if (w > 1e-9) {
+          dhi = std::min(dhi, s.d[k] / w);
+        } else if (w < -1e-9) {
+          dlo = std::max(dlo, s.d[k] / w);
+        }
+      }
+    }
+    // The generator's variables map directly (minimize, x >= 0).
+    EXPECT_EQ(bits(r.ranging->cost_lower[j]), bits(s.c[col] + dlo)) << j;
+    EXPECT_EQ(bits(r.ranging->cost_upper[j]), bits(s.c[col] + dhi)) << j;
+  }
+  EXPECT_GT(basic_vars, 0u);
 }
 
 }  // namespace

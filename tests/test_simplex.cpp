@@ -20,7 +20,7 @@ using lp::RowSense;
 
 constexpr Engine kAllEngines[] = {
     Engine::kDeviceRevised, Engine::kDeviceRevisedFloat, Engine::kHostRevised,
-    Engine::kTableau, Engine::kSparseRevised};
+    Engine::kTableau,       Engine::kSparseRevised,      Engine::kDualRevised};
 
 [[nodiscard]] double tolerance_for(Engine e) {
   return e == Engine::kDeviceRevisedFloat ? 2e-3 : 1e-6;

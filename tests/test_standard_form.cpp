@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "lp/generators.hpp"
 #include "lp/problem.hpp"
 #include "lp/standard_form.hpp"
 #include "simplex/phase_setup.hpp"
@@ -240,6 +245,73 @@ TEST(Augment, MatrixFormsAgree) {
       EXPECT_DOUBLE_EQ(at(j, i), csr_at.at(j, i));
     }
   }
+}
+
+/// `base` with its rows and columns listed in reversed order.
+[[nodiscard]] LpProblem reversed(const LpProblem& base) {
+  const std::size_t n = base.num_variables();
+  LpProblem p(base.objective(), base.name() + "_reversed");
+  for (std::size_t j = n; j-- > 0;) {
+    const Variable& v = base.variable(j);
+    p.add_variable(v.name, v.objective_coef, v.lower, v.upper);
+  }
+  for (std::size_t i = base.num_constraints(); i-- > 0;) {
+    const Constraint& c = base.constraint(i);
+    std::vector<Term> terms;
+    for (const Term& t : c.terms) {
+      terms.push_back({static_cast<std::uint32_t>(n - 1 - t.var), t.coef});
+    }
+    p.add_constraint(c.name, std::move(terms), c.sense, c.rhs);
+  }
+  return p;
+}
+
+[[nodiscard]] std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// The host engines sweep A^T by its nonzeros and rely on two properties of
+// csr_at(): every column lists its rows strictly ascending, and scattering
+// a column into zeros reproduces the dense_at() row bit for bit. Checked on
+// dense, sparse, row/column-permuted and artificial-carrying instances.
+TEST(Augment, CsrAtRowsAscendAndGatherTheDenseColumn) {
+  const LpProblem sparse =
+      random_sparse_lp({.rows = 40, .cols = 160, .density = 0.05, .seed = 4});
+  std::vector<LpProblem> cases = {
+      random_dense_lp({.rows = 17, .cols = 23, .seed = 2}),
+      sparse,
+      reversed(sparse),
+      reversed(random_dense_lp({.rows = 9, .cols = 6, .seed = 8})),
+      transportation(4, 5, 3),
+  };
+  for (const LpProblem& p : cases) {
+    const auto sf = to_standard_form(p);
+    const auto aug = simplex::augment(sf);
+    const auto at = aug.dense_at();
+    const auto csr = aug.csr_at();
+    ASSERT_EQ(csr.rows(), aug.n_aug) << p.name();
+    ASSERT_EQ(csr.cols(), aug.m) << p.name();
+    const auto& offs = csr.row_offsets();
+    const auto& idx = csr.col_indices();
+    std::vector<double> col(aug.m);
+    for (std::size_t j = 0; j < aug.n_aug; ++j) {
+      for (std::uint32_t k = offs[j] + 1; k < offs[j + 1]; ++k) {
+        ASSERT_LT(idx[k - 1], idx[k]) << p.name() << " column " << j;
+      }
+      std::fill(col.begin(), col.end(), 0.0);
+      for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
+        col[idx[k]] = csr.values()[k];
+      }
+      for (std::size_t i = 0; i < aug.m; ++i) {
+        ASSERT_EQ(bits(col[i]), bits(at(j, i)))
+            << p.name() << " A(" << i << ", " << j << ")";
+      }
+    }
+  }
+  EXPECT_GT(simplex::augment(to_standard_form(cases.back())).num_artificial,
+            0u);
 }
 
 TEST(Augment, CrashBasisRespectsScaledSlackCoefficient) {
