@@ -225,7 +225,9 @@ echo "==> telemetry + SLO gates"
 # finish it optimally (anti-cycling smoke) rather than stall. The dual
 # engine's primal cleanup runs the shared primal driver (DESIGN.md
 # "Primal driver"): on a pure-'<=' instance it must pivot exactly like
-# the host engine and emit the same telemetry series, and a removed
+# the host engine and emit the same telemetry series. The tableau runs
+# the same driver: it must pivot like the host engine on sparse:96:7,
+# write the engine telemetry series and reconcile its profile. A removed
 # basis scheme must be rejected rather than silently replaced.
 echo "==> basis-oracle + dual-engine gates"
 (
@@ -248,6 +250,16 @@ echo "==> basis-oracle + dual-engine gates"
   ./examples/lp_cli --gen dense:32:11 --engine dual \
     --telemetry=ci_dual_telemetry.json > /dev/null
   grep -q '"engine.objective"' ci_dual_telemetry.json
+  ./examples/lp_cli --gen sparse:96:7 --engine tableau \
+    --record=ci_tableau.gsrec > /dev/null
+  ./examples/lp_cli --diff ci_host.gsrec ci_tableau.gsrec \
+    | grep 'recordings agree on all'
+  ./examples/lp_cli --gen dense:32:11 --engine tableau \
+    --telemetry=ci_tableau_telemetry.json > /dev/null
+  grep -q '"engine.objective"' ci_tableau_telemetry.json
+  ./examples/lp_cli --gen dense:32:11 --engine tableau \
+    --profile=ci_tableau_profile.json \
+    | grep 'profile: reconciled bit-exactly'
   if ./examples/lp_cli --gen dense:32:11 --basis lu > /dev/null 2>&1; then
     echo "lp_cli accepted the removed --basis lu" >&2
     exit 1

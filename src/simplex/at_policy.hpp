@@ -4,18 +4,23 @@
 // matrix A^T is stored on the device:
 //   * DenseAt  — dense n_aug x m row-major (the paper's layout), and
 //   * SparseAt — CSR (the follow-on sparse variant, Ext. C).
-// A policy supplies the kernels whose cost depends on the storage: FTRAN's
-// B^-1 a_q product, the pivot-row product used by artificial drive-out,
-// and the fused iteration kernels — the pricing+selection launch, the
+// Both are FusedAt over a storage class. FusedAt holds the kernels whose
+// cost depends on the storage, each written once: FTRAN's B^-1 a_q
+// product, the pivot-row product used by artificial drive-out, and the
+// fused iteration kernels — the pricing+selection launch, the
 // FTRAN+ratio+selection launch and the Devex weight update — that write
 // the on-device pivot descriptor instead of round-tripping scalars over
-// PCIe.
+// PCIe. The storage supplies only a per-launch view (the column dot
+// products and the B^-1 row products with a_q, each with its own
+// summation order and checker footprint) and the declared work of an
+// A^T sweep and of B^-1 a_q.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -225,57 +230,249 @@ void combine_leaving(vgpu::Device& dev, const BlockWinners<Real>& win,
       });
 }
 
+/// One block's worth of swept column indices / dot products.
+using BlockCols = std::array<std::uint32_t, vgpu::Device::kBlockSize>;
+template <typename Real>
+using BlockDots = std::array<Real, vgpu::Device::kBlockSize>;
+
 }  // namespace fused_detail
 
-/// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels.
+/// Dense row-major A^T storage (n_aug x m): contiguous column reads,
+/// BLAS-2-shaped sweeps.
 template <typename Real>
-class DenseAt {
+class DenseAtStorage {
  public:
+  using value_type = Real;
   /// Dense storage keeps the paper's m-proportional kernel names; the
   /// sparse basis-kernel variants (sparse_ftran / sparse_btran /
   /// eta_apply) only make sense when column extents are known.
   static constexpr bool kSparseKernels = false;
 
-  DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
+  DenseAtStorage(vgpu::Device& dev, const AugmentedLp& aug)
       : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_at(aug)) {}
 
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
 
+  /// One launch's device view of A^T.
+  struct View {
+    vgpu::check::CheckedSpan<const Real> at;
+    std::size_t m;
+
+    /// dots[t] = a_{cols[t]} . y for the block's first `count` listed
+    /// columns. Footprint in bulk: each swept column once, and y once —
+    /// only when the block sweeps a column, so a fully masked block reads
+    /// no y.
+    void column_dots(const vgpu::check::CheckedSpan<const Real>& y,
+                     const fused_detail::BlockCols& cols, std::size_t count,
+                     fused_detail::BlockDots<Real>& dots) const {
+      if (count == 0) return;
+      for (std::size_t t = 0; t < count; ++t) {
+        at.read_range(cols[t] * m, (cols[t] + std::size_t{1}) * m);
+      }
+      y.read_range(0, m);
+      vblas::dot_rows(at.data(), m,
+                      std::span<const std::uint32_t>(cols.data(), count),
+                      y.data(), m, dots.data());
+    }
+
+    /// dots[i - lo] = row_i(B^-1) . a_q for the block's rows [lo, hi),
+    /// with the rows and a_q annotated once each.
+    void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& bs,
+                          std::size_t q, std::size_t lo, std::size_t hi,
+                          fused_detail::BlockDots<Real>& dots) const {
+      at.read_range(q * m, q * m + m);
+      bs.read_range(lo * m, hi * m);
+      vblas::dot_rows(bs.data(), m, lo, hi, at.data() + q * m, m,
+                      dots.data());
+    }
+  };
+  [[nodiscard]] View view() const { return {at_.device_span(), m_}; }
+
+  /// Declared work of one sweep of A^T against a length-m vector: every
+  /// entry of A^T and the vector once.
+  [[nodiscard]] vgpu::KernelCost sweep_cost() const {
+    return {2.0 * double(n_aug_) * double(m_),
+            double((n_aug_ * m_ + m_) * sizeof(Real)), sizeof(Real)};
+  }
+
+  /// Declared work of B^-1 a_q (dense gemv against the contiguous column
+  /// a_q): the same whether q is known host-side or device-resident.
+  [[nodiscard]] vgpu::KernelCost aq_cost(std::optional<std::size_t>) const {
+    return {2.0 * double(m_) * double(m_),
+            double((m_ * m_ + m_) * sizeof(Real)), sizeof(Real)};
+  }
+
+ private:
+  [[nodiscard]] static vblas::Matrix<Real> host_at(const AugmentedLp& aug) {
+    const vblas::Matrix<double> at64 = aug.dense_at();
+    vblas::Matrix<Real> out(at64.rows(), at64.cols());
+    for (std::size_t i = 0; i < at64.size(); ++i) {
+      out.flat()[i] = static_cast<Real>(at64.flat()[i]);
+    }
+    return out;
+  }
+
+  std::size_t m_, n_aug_;
+  vblas::DeviceMatrix<Real> at_;
+};
+
+/// CSR A^T storage: sweep cost scales with nnz instead of n_aug * m.
+template <typename Real>
+class CsrAtStorage {
+ public:
+  using value_type = Real;
+  /// CSR storage opts the product-form basis into the sparse kernel
+  /// variants (sparse_ftran / sparse_btran / eta_apply).
+  static constexpr bool kSparseKernels = true;
+
+  CsrAtStorage(vgpu::Device& dev, const AugmentedLp& aug)
+      : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_csr(aug)) {
+    // Widest column, for declaring fused-kernel costs when the entering
+    // column index lives on the device (host metadata, like nnz()).
+    const std::span<const std::uint32_t> offs = at_.row_offsets().host_view();
+    for (std::size_t j = 0; j < n_aug_; ++j) {
+      max_col_nnz_ = std::max<std::size_t>(max_col_nnz_, offs[j + 1] - offs[j]);
+    }
+  }
+
+  [[nodiscard]] std::size_t m() const noexcept { return m_; }
+  [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
+  [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
+
+  /// Device views of the CSR arrays of A^T (row j of A^T is column j of
+  /// A), taken once per launch.
+  struct View {
+    vgpu::check::CheckedSpan<const std::uint32_t> offs, cols;
+    vgpu::check::CheckedSpan<const Real> vals;
+    std::size_t m;
+
+    /// dots[t] = a_{cols[t]} . y, each summed in CSR order.
+    void column_dots(const vgpu::check::CheckedSpan<const Real>& y,
+                     const fused_detail::BlockCols& list, std::size_t count,
+                     fused_detail::BlockDots<Real>& dots) const {
+      for (std::size_t t = 0; t < count; ++t) {
+        const std::size_t j = list[t];
+        Real acc{0};
+        for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
+          acc += vals[k] * y[cols[k]];
+        }
+        dots[t] = acc;
+      }
+    }
+
+    /// dots[i - lo] = row_i(B^-1) . a_q for rows [lo, hi). a_q's values
+    /// and indices are read once and reused across the block (cached on
+    /// a real GPU); they are annotated in bulk.
+    void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& bs,
+                          std::size_t q, std::size_t lo, std::size_t hi,
+                          fused_detail::BlockDots<Real>& dots) const {
+      const std::uint32_t k_lo = offs[q];
+      const std::uint32_t k_hi = offs[q + 1];
+      vals.read_range(k_lo, k_hi);
+      cols.read_range(k_lo, k_hi);
+      const Real* vp = vals.data();
+      const std::uint32_t* cp = cols.data();
+      for (std::size_t i = lo; i < hi; ++i) {
+        Real acc{0};
+        for (std::uint32_t k = k_lo; k < k_hi; ++k) {
+          acc += vp[k] * bs[i * m + cp[k]];
+        }
+        dots[i - lo] = acc;
+      }
+    }
+  };
+  [[nodiscard]] View view() const {
+    return {at_.row_offsets().device_span(), at_.col_indices().device_span(),
+            at_.values().device_span(), m_};
+  }
+
+  /// Declared work of one sweep of A^T against a length-m vector: each
+  /// nonzero's value, row index and vector entry once.
+  [[nodiscard]] vgpu::KernelCost sweep_cost() const {
+    const double nnz = static_cast<double>(at_.nnz());
+    return {2.0 * nnz, nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)),
+            sizeof(Real)};
+  }
+
+  /// Declared work of B^-1 a_q, the sparse column against the dense
+  /// inverse: m * nnz(a_q) entries of B^-1 and a_q once. For a
+  /// device-resident q (nullopt) the exact nnz(a_q) is unknown host-side,
+  /// so the widest column is declared, plus one more length-m vector
+  /// (over-declaring is safe: the cost lint flags only observed >
+  /// declared drift).
+  [[nodiscard]] vgpu::KernelCost aq_cost(std::optional<std::size_t> q) const {
+    // Column extent read host-side (a scalar lookup, like the pivot index).
+    const View a = view();
+    const std::size_t nnz_q =
+        q.has_value() ? std::size_t{a.offs[*q + 1] - a.offs[*q]} : max_col_nnz_;
+    const std::size_t vec = q.has_value() ? 0 : m_;
+    return {2.0 * double(m_) * double(nnz_q),
+            double(m_ * nnz_q * sizeof(Real) +
+                   nnz_q * (sizeof(Real) + sizeof(std::uint32_t)) +
+                   vec * sizeof(Real)),
+            sizeof(Real)};
+  }
+
+ private:
+  [[nodiscard]] static sparse::CsrMatrix<Real> host_csr(
+      const AugmentedLp& aug) {
+    const sparse::CsrMatrix<double> at64 = aug.csr_at();
+    std::vector<Real> vals(at64.values().size());
+    for (std::size_t k = 0; k < vals.size(); ++k) {
+      vals[k] = static_cast<Real>(at64.values()[k]);
+    }
+    return sparse::CsrMatrix<Real>(at64.rows(), at64.cols(),
+                                   at64.row_offsets(), at64.col_indices(),
+                                   std::move(vals));
+  }
+
+  std::size_t m_, n_aug_;
+  sparse::DeviceCsr<Real> at_;
+  std::size_t max_col_nnz_ = 0;
+};
+
+/// The device engine's A^T kernels, written once over a Storage that
+/// supplies a per-launch view (`column_dots`, `binv_rows_dot_aq`) and the
+/// declared work of an A^T sweep and of B^-1 a_q. Each launch's declared
+/// cost is that work plus the kernel's own vector traffic.
+template <class Storage>
+class FusedAt : public Storage {
+ public:
+  using Real = typename Storage::value_type;
+  using Storage::Storage;
+
   /// out_j = a_j . y for every column j (the drive-out row of B^-1 A).
   void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
                          vgpu::DeviceBuffer<Real>& out) const {
-    const std::size_t m = m_;
-    auto at = at_.device_span();
+    const std::size_t n = this->n_aug();
+    const auto a = this->view();
     auto ys = y.device_span();
     auto os = out.device_span();
     const vgpu::check::CheckedSpan<const Real> none{};
-    device().launch_blocks(
-        "pivot_row_product", n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * double(n_aug_) * double(m),
-         double((n_aug_ * m + 3 * n_aug_ + m) * sizeof(Real)), sizeof(Real)},
+    this->device().launch_blocks(
+        "pivot_row_product", n, vgpu::Device::kBlockSize,
+        plus(this->sweep_cost(), 0.0, 3 * n),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          sweep_block(at, ys, none, none, os, lo, hi);
+          sweep_block(a, ys, none, none, os, lo, hi);
         });
   }
 
-  /// alpha = B^-1 a_q (dense gemv against the contiguous column a_q).
-  /// `name` lets basis schemes label their FTRAN variant in the stream.
+  /// alpha = B^-1 a_q. `name` lets basis schemes label their FTRAN variant
+  /// in the stream (the product form's CSR base solve is "sparse_ftran").
   void ftran_alpha(const vblas::DeviceMatrix<Real>& binv, std::size_t q,
                    vgpu::DeviceBuffer<Real>& alpha,
                    std::string_view name = "ftran") const {
-    const std::size_t m = m_;
-    auto at = at_.device_span();
+    const std::size_t m = this->m();
+    const auto a = this->view();
     auto bs = binv.device_span();
     auto as = alpha.device_span();
-    device().launch_blocks(
-        name, m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m),
-         double((m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
+    this->device().launch_blocks(
+        name, m, vgpu::Device::kBlockSize, plus(this->aq_cost(q), 0.0, m),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          BlockDots dots;
-          binv_rows_dot_aq(at, bs, q, lo, hi, dots);
+          fused_detail::BlockDots<Real> dots;
+          a.binv_rows_dot_aq(bs, q, lo, hi, dots);
           for (std::size_t i = lo; i < hi; ++i) as[i] = dots[i - lo];
         });
   }
@@ -293,10 +490,9 @@ class DenseAt {
                     const vgpu::DeviceBuffer<Real>& devex_w,
                     vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
                     Real tol) const {
-    const std::size_t m = m_;
-    const std::size_t n = n_aug_;
+    const std::size_t n = this->n_aug();
     fused_detail::BlockWinners<Real> win(n);
-    auto at = at_.device_span();
+    const auto a = this->view();
     auto ys = pi.device_span();
     auto cs = c.device_span();
     auto ms = mask.device_span();
@@ -304,16 +500,16 @@ class DenseAt {
     auto ss = score.device_span();
     auto wsp = devex_w.device_span();
     auto desc_s = desc.device_span();
-    device().launch_blocks(
+    this->device().launch_blocks(
         "price_select", n, vgpu::Device::kBlockSize,
-        {2.0 * double(n) * double(m) + 4.0 * double(n),
-         double((n * m + 6 * n + m) * sizeof(Real)), sizeof(Real)},
+        plus(this->sweep_cost(), 4.0 * double(n), 6 * n),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          sweep_block(at, ys, cs, ms, ds, lo, hi);
+          sweep_block(a, ys, cs, ms, ds, lo, hi);
           fused_detail::entering_block(rule, tol, ds, ss, wsp, desc_s, win,
                                        blk, lo, hi);
         });
-    fused_detail::combine_entering(device(), rule, tol, win, ds, desc_s);
+    fused_detail::combine_entering(this->device(), rule, tol, win, ds,
+                                   desc_s);
   }
 
   /// Fused FTRAN + ratio test + leaving selection in ONE launch. The
@@ -328,23 +524,22 @@ class DenseAt {
                           vgpu::DeviceBuffer<Real>& ratio,
                           vgpu::DeviceBuffer<Real>& desc,
                           Real pivot_tol) const {
-    const std::size_t m = m_;
+    const std::size_t m = this->m();
     fused_detail::BlockWinners<Real> win(m);
-    auto at = at_.device_span();
+    const auto a = this->view();
     auto bs = binv.device_span();
     auto be = beta.device_span();
     auto as = alpha.device_span();
     auto rs = ratio.device_span();
     auto desc_s = desc.device_span();
-    device().launch_blocks(
+    this->device().launch_blocks(
         "ftran_ratio", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m) + 3.0 * double(m),
-         double((m * m + 7 * m + 2) * sizeof(Real)), sizeof(Real)},
+        plus(this->aq_cost(std::nullopt), 3.0 * double(m), 6 * m + 2),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
           const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          BlockDots dots;
-          binv_rows_dot_aq(at, bs, q, lo, hi, dots);
+          fused_detail::BlockDots<Real> dots;
+          a.binv_rows_dot_aq(bs, q, lo, hi, dots);
           for (std::size_t i = lo; i < hi; ++i) {
             const Real acc = dots[i - lo];
             as[i] = acc;
@@ -352,7 +547,7 @@ class DenseAt {
           }
           fused_detail::leaving_block(rs, as, desc_s, win, blk, lo, hi);
         });
-    fused_detail::combine_leaving(device(), win, rs, as, desc_s);
+    fused_detail::combine_leaving(this->device(), win, rs, as, desc_s);
   }
 
   /// Fused Devex weight maintenance: the pivot-row products, the masked
@@ -364,20 +559,18 @@ class DenseAt {
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
                     std::size_t leaving, Real alpha_p) const {
-    const std::size_t m = m_;
-    const std::size_t n = n_aug_;
-    auto at = at_.device_span();
+    const std::size_t n = this->n_aug();
+    const auto a = this->view();
     auto ps = prow.device_span();
     auto ms = mask.device_span();
     auto wsp = devex_w.device_span();
-    device().launch_blocks(
+    this->device().launch_blocks(
         "devex_update_fused", n, vgpu::Device::kBlockSize,
-        {2.0 * double(n) * double(m) + 4.0 * double(n),
-         double((n * m + 4 * n + m) * sizeof(Real)), sizeof(Real)},
+        plus(this->sweep_cost(), 4.0 * double(n), 4 * n),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           const Real wq = wsp[q];
-          BlockCols cols;
-          BlockDots dots;
+          fused_detail::BlockCols cols;
+          fused_detail::BlockDots<Real> dots;
           std::size_t count = 0;
           for (std::size_t j = lo; j < hi; ++j) {
             if (j == leaving) {
@@ -390,7 +583,7 @@ class DenseAt {
               cols[count++] = static_cast<std::uint32_t>(j);
             }
           }
-          column_dots(at, ps, cols, count, dots);
+          a.column_dots(ps, cols, count, dots);
           for (std::size_t k = 0; k < count; ++k) {
             const Real t = dots[k] / alpha_p;
             const Real cand = t * t * wq;
@@ -400,26 +593,27 @@ class DenseAt {
   }
 
  private:
-  [[nodiscard]] static vblas::Matrix<Real> host_at(const AugmentedLp& aug) {
-    const vblas::Matrix<double> at64 = aug.dense_at();
-    vblas::Matrix<Real> out(at64.rows(), at64.cols());
-    for (std::size_t i = 0; i < at64.size(); ++i) {
-      out.flat()[i] = static_cast<Real>(at64.flat()[i]);
-    }
-    return out;
+  using View = typename Storage::View;
+
+  /// `work` plus `flops` more operations and `words` more Real words.
+  [[nodiscard]] static vgpu::KernelCost plus(vgpu::KernelCost work,
+                                             double flops, std::size_t words) {
+    work.flops += flops;
+    work.bytes += double(words * sizeof(Real));
+    return work;
   }
 
   /// One block of the column sweep: out_j = c_j - a_j . y for j in
   /// [lo, hi), 0 where mask_j == 0. An empty `mask` sweeps every column;
   /// an empty `c` writes the plain products a_j . y.
-  void sweep_block(const vgpu::check::CheckedSpan<const Real>& at,
-                   const vgpu::check::CheckedSpan<const Real>& y,
-                   const vgpu::check::CheckedSpan<const Real>& c,
-                   const vgpu::check::CheckedSpan<const Real>& mask,
-                   const vgpu::check::CheckedSpan<Real>& out, std::size_t lo,
-                   std::size_t hi) const {
-    BlockCols cols;
-    BlockDots dots;
+  static void sweep_block(const View& a,
+                          const vgpu::check::CheckedSpan<const Real>& y,
+                          const vgpu::check::CheckedSpan<const Real>& c,
+                          const vgpu::check::CheckedSpan<const Real>& mask,
+                          const vgpu::check::CheckedSpan<Real>& out,
+                          std::size_t lo, std::size_t hi) {
+    fused_detail::BlockCols cols;
+    fused_detail::BlockDots<Real> dots;
     std::size_t count = 0;
     for (std::size_t j = lo; j < hi; ++j) {
       if (!mask.empty() && mask[j] == Real{0}) {
@@ -428,287 +622,20 @@ class DenseAt {
         cols[count++] = static_cast<std::uint32_t>(j);
       }
     }
-    column_dots(at, y, cols, count, dots);
+    a.column_dots(y, cols, count, dots);
     for (std::size_t t = 0; t < count; ++t) {
       const std::size_t j = cols[t];
       out[j] = c.empty() ? dots[t] : c[j] - dots[t];
     }
   }
-
-  /// One block's worth of swept column indices / dot products.
-  using BlockCols = std::array<std::uint32_t, vgpu::Device::kBlockSize>;
-  using BlockDots = std::array<Real, vgpu::Device::kBlockSize>;
-
-  /// dots[t] = a_{cols[t]} . y for the block's first `count` listed
-  /// columns. Footprint in bulk: each swept column once, and y once — only
-  /// when the block sweeps a column, so a fully masked block reads no y.
-  void column_dots(const vgpu::check::CheckedSpan<const Real>& at,
-                   const vgpu::check::CheckedSpan<const Real>& y,
-                   const BlockCols& cols, std::size_t count,
-                   BlockDots& dots) const {
-    if (count == 0) return;
-    const std::size_t m = m_;
-    for (std::size_t t = 0; t < count; ++t) {
-      at.read_range(cols[t] * m, (cols[t] + std::size_t{1}) * m);
-    }
-    y.read_range(0, m);
-    vblas::dot_rows(at.data(), m,
-                    std::span<const std::uint32_t>(cols.data(), count),
-                    y.data(), m, dots.data());
-  }
-
-  /// dots[i - lo] = row_i(B^-1) . a_q for the block's rows [lo, hi), with
-  /// the rows and a_q annotated once each.
-  void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& at,
-                        const vgpu::check::CheckedSpan<const Real>& bs,
-                        std::size_t q, std::size_t lo, std::size_t hi,
-                        BlockDots& dots) const {
-    const std::size_t m = m_;
-    at.read_range(q * m, q * m + m);
-    bs.read_range(lo * m, hi * m);
-    vblas::dot_rows(bs.data(), m, lo, hi, at.data() + q * m, m, dots.data());
-  }
-
-  std::size_t m_, n_aug_;
-  vblas::DeviceMatrix<Real> at_;
 };
 
-/// CSR A^T policy: kernel cost scales with nnz instead of n_aug * m.
+/// Dense A^T kernels (the paper's layout).
 template <typename Real>
-class SparseAt {
- public:
-  /// CSR storage opts the product-form basis into the sparse kernel
-  /// variants (sparse_ftran / sparse_btran / eta_apply).
-  static constexpr bool kSparseKernels = true;
+using DenseAt = FusedAt<DenseAtStorage<Real>>;
 
-  SparseAt(vgpu::Device& dev, const AugmentedLp& aug)
-      : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_csr(aug)) {
-    // Widest column, for declaring fused-kernel costs when the entering
-    // column index lives on the device (host metadata, like nnz()).
-    const std::span<const std::uint32_t> offs = at_.row_offsets().host_view();
-    for (std::size_t j = 0; j < n_aug_; ++j) {
-      max_col_nnz_ = std::max<std::size_t>(max_col_nnz_, offs[j + 1] - offs[j]);
-    }
-  }
-
-  [[nodiscard]] std::size_t m() const noexcept { return m_; }
-  [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
-  [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
-
-  void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
-                         vgpu::DeviceBuffer<Real>& out) const {
-    const Csr a = csr();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        "pivot_row_product", n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * nnz,
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(3 * n_aug_ * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) os[j] = a.column_dot(j, ys);
-        });
-  }
-
-  /// alpha_i = sum_k a_q[k] * binv(i, col_k): sparse column against the
-  /// dense inverse, cost proportional to m * nnz(a_q). The product-form
-  /// basis launches this as "sparse_ftran" so the checker/analyzer/
-  /// profiler see the scheme's base solve as its own kernel.
-  void ftran_alpha(const vblas::DeviceMatrix<Real>& binv, std::size_t q,
-                   vgpu::DeviceBuffer<Real>& alpha,
-                   std::string_view name = "ftran") const {
-    const std::size_t m = m_;
-    const Csr a = csr();
-    auto bs = binv.device_span();
-    auto as = alpha.device_span();
-    // Column extent read host-side (a scalar lookup, like the pivot index).
-    const std::size_t nnz_q = a.offs[q + 1] - a.offs[q];
-    device().launch_blocks(
-        name, m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(nnz_q),
-         double(m * nnz_q * sizeof(Real) +
-                nnz_q * (sizeof(Real) + sizeof(std::uint32_t)) +
-                m * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          BlockDots dots;
-          a.binv_rows_dot_aq(bs, m, q, lo, hi, dots);
-          for (std::size_t i = lo; i < hi; ++i) as[i] = dots[i - lo];
-        });
-  }
-
-  // The fused iteration kernels; see DenseAt for the semantics — these
-  // are the CSR-cost twins.
-
-  void price_select(const vgpu::DeviceBuffer<Real>& pi,
-                    const vgpu::DeviceBuffer<Real>& c,
-                    const vgpu::DeviceBuffer<Real>& mask,
-                    vgpu::DeviceBuffer<Real>& d,
-                    vgpu::DeviceBuffer<Real>& score,
-                    const vgpu::DeviceBuffer<Real>& devex_w,
-                    vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
-                    Real tol) const {
-    const std::size_t n = n_aug_;
-    fused_detail::BlockWinners<Real> win(n);
-    const Csr a = csr();
-    auto ys = pi.device_span();
-    auto cs = c.device_span();
-    auto ms = mask.device_span();
-    auto ds = d.device_span();
-    auto ss = score.device_span();
-    auto wsp = devex_w.device_span();
-    auto desc_s = desc.device_span();
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        "price_select", n, vgpu::Device::kBlockSize,
-        {2.0 * nnz + 4.0 * double(n),
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(6 * n * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            ds[j] = ms[j] == Real{0} ? Real{0} : cs[j] - a.column_dot(j, ys);
-          }
-          fused_detail::entering_block(rule, tol, ds, ss, wsp, desc_s, win,
-                                       blk, lo, hi);
-        });
-    fused_detail::combine_entering(device(), rule, tol, win, ds, desc_s);
-  }
-
-  /// Declared cost uses the widest column (the entering index is device-
-  /// resident, so the exact nnz(a_q) is unknown host-side; over-declaring
-  /// is safe, the cost lint only flags observed > declared drift).
-  void ftran_ratio_select(const vblas::DeviceMatrix<Real>& binv,
-                          const vgpu::DeviceBuffer<Real>& beta,
-                          vgpu::DeviceBuffer<Real>& alpha,
-                          vgpu::DeviceBuffer<Real>& ratio,
-                          vgpu::DeviceBuffer<Real>& desc,
-                          Real pivot_tol) const {
-    const std::size_t m = m_;
-    fused_detail::BlockWinners<Real> win(m);
-    const Csr a = csr();
-    auto bs = binv.device_span();
-    auto be = beta.device_span();
-    auto as = alpha.device_span();
-    auto rs = ratio.device_span();
-    auto desc_s = desc.device_span();
-    const std::size_t nnz_max = max_col_nnz_;
-    device().launch_blocks(
-        "ftran_ratio", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(nnz_max) + 3.0 * double(m),
-         double(m * nnz_max * sizeof(Real) +
-                nnz_max * (sizeof(Real) + sizeof(std::uint32_t)) +
-                (7 * m + 2) * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          BlockDots dots;
-          a.binv_rows_dot_aq(bs, m, q, lo, hi, dots);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Real acc = dots[i - lo];
-            as[i] = acc;
-            rs[i] = fused_detail::ratio_at(acc, be, i, pivot_tol);
-          }
-          fused_detail::leaving_block(rs, as, desc_s, win, blk, lo, hi);
-        });
-    fused_detail::combine_leaving(device(), win, rs, as, desc_s);
-  }
-
-  void devex_update(const vgpu::DeviceBuffer<Real>& prow,
-                    const vgpu::DeviceBuffer<Real>& mask,
-                    vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
-                    std::size_t leaving, Real alpha_p) const {
-    const std::size_t n = n_aug_;
-    const Csr a = csr();
-    auto ps = prow.device_span();
-    auto ms = mask.device_span();
-    auto wsp = devex_w.device_span();
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        "devex_update_fused", n, vgpu::Device::kBlockSize,
-        {2.0 * nnz + 4.0 * double(n),
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(4 * n * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real wq = wsp[q];
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (j == leaving) {
-              wsp[j] = std::max(wq / (alpha_p * alpha_p), Real{1});
-              continue;
-            }
-            if (ms[j] == Real{0}) continue;
-            const Real t = a.column_dot(j, ps) / alpha_p;
-            const Real cand = t * t * wq;
-            if (cand > wsp[j]) wsp[j] = cand;
-          }
-        });
-  }
-
- private:
-  using BlockDots = std::array<Real, vgpu::Device::kBlockSize>;
-
-  /// Device views of the CSR arrays of A^T (row j of A^T is column j of
-  /// A), taken once per launch.
-  struct Csr {
-    vgpu::check::CheckedSpan<const std::uint32_t> offs, cols;
-    vgpu::check::CheckedSpan<const Real> vals;
-
-    /// a_j . y, summed in CSR order.
-    [[nodiscard]] Real column_dot(
-        std::size_t j, const vgpu::check::CheckedSpan<const Real>& y) const {
-      Real acc{0};
-      for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-        acc += vals[k] * y[cols[k]];
-      }
-      return acc;
-    }
-
-    /// dots[i - lo] = row_i(B^-1) . a_q for rows [lo, hi). a_q's values
-    /// and indices are read once and reused across the block (cached on
-    /// a real GPU); they are annotated in bulk.
-    void binv_rows_dot_aq(const vgpu::check::CheckedSpan<const Real>& bs,
-                          std::size_t m, std::size_t q, std::size_t lo,
-                          std::size_t hi, BlockDots& dots) const {
-      const std::uint32_t k_lo = offs[q];
-      const std::uint32_t k_hi = offs[q + 1];
-      vals.read_range(k_lo, k_hi);
-      cols.read_range(k_lo, k_hi);
-      const Real* vp = vals.data();
-      const std::uint32_t* cp = cols.data();
-      for (std::size_t i = lo; i < hi; ++i) {
-        Real acc{0};
-        for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-          acc += vp[k] * bs[i * m + cp[k]];
-        }
-        dots[i - lo] = acc;
-      }
-    }
-  };
-
-  [[nodiscard]] Csr csr() const {
-    return {at_.row_offsets().device_span(), at_.col_indices().device_span(),
-            at_.values().device_span()};
-  }
-
-  [[nodiscard]] static sparse::CsrMatrix<Real> host_csr(
-      const AugmentedLp& aug) {
-    const sparse::CsrMatrix<double> at64 = aug.csr_at();
-    std::vector<Real> vals(at64.values().size());
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      vals[k] = static_cast<Real>(at64.values()[k]);
-    }
-    return sparse::CsrMatrix<Real>(at64.rows(), at64.cols(),
-                                   at64.row_offsets(), at64.col_indices(),
-                                   std::move(vals));
-  }
-
-  std::size_t m_, n_aug_;
-  sparse::DeviceCsr<Real> at_;
-  std::size_t max_col_nnz_ = 0;
-};
+/// CSR A^T kernels (the follow-on sparse variant, Ext. C).
+template <typename Real>
+using SparseAt = FusedAt<CsrAtStorage<Real>>;
 
 }  // namespace gs::simplex

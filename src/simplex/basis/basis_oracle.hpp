@@ -18,28 +18,21 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sparse/csr.hpp"
-#include "vblas/containers.hpp"
 
 namespace gs::simplex::basis {
 
-/// Read-only access to columns of the augmented constraint matrix A
-/// (the source from which basis columns are gathered for factorization).
-/// `gather` writes column `col` (length m) into `out`; the caller
-/// pre-zeroes `out`, so sparse sources need only write their nonzeros.
+/// Read-only access to the columns of the augmented constraint matrix A
+/// (the source from which basis columns are gathered for factorization),
+/// held as CSR A^T (n_aug x m): row j of A^T lists the nonzeros of column
+/// j of A. `gather` writes column `col` (length m) into `out`; the caller
+/// pre-zeroes `out`, so only the nonzeros are written.
 class ColumnSource {
  public:
-  virtual ~ColumnSource() = default;
-  virtual void gather(std::uint32_t col, std::span<double> out) const = 0;
-};
-
-/// CSR A^T source (n_aug x m): row j of A^T holds the nonzeros of
-/// column j of A.
-class CsrColumnSource final : public ColumnSource {
- public:
-  explicit CsrColumnSource(const sparse::CsrMatrix<double>& at) : at_(&at) {}
-  void gather(std::uint32_t col, std::span<double> out) const override {
+  explicit ColumnSource(const sparse::CsrMatrix<double>& at) : at_(&at) {}
+  void gather(std::uint32_t col, std::span<double> out) const {
     const auto& offs = at_->row_offsets();
     const auto& idx = at_->col_indices();
     const auto& val = at_->values();
@@ -51,6 +44,10 @@ class CsrColumnSource final : public ColumnSource {
  private:
   const sparse::CsrMatrix<double>* at_;
 };
+
+/// Second name for the same class, spelled out by callers that build
+/// the source from a CSR A^T.
+using CsrColumnSource = ColumnSource;
 
 /// Abstract basis representation. All vectors indexed by basis position
 /// (tableau row) unless noted; `m` is the basis dimension throughout.
@@ -107,13 +104,6 @@ class BasisOracle {
   /// uncharged. The explicit oracle copies; the product form solves.
   virtual void binv_row(std::size_t i, std::span<double> out) const = 0;
   virtual void binv_col(std::size_t j, std::span<double> out) const = 0;
-
-  /// Non-null only for the explicit-inverse oracle: direct access to the
-  /// dense B^-1 for probe-style readers (health sampling).
-  [[nodiscard]] virtual const vblas::Matrix<double>* dense_inverse()
-      const noexcept {
-    return nullptr;
-  }
 
   /// Product-form bookkeeping (0 / 0 for the explicit inverse).
   [[nodiscard]] virtual std::size_t eta_count() const noexcept { return 0; }

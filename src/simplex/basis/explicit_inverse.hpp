@@ -136,11 +136,6 @@ class ExplicitInverseOracle final : public BasisOracle {
     for (std::size_t i = 0; i < m_; ++i) out[i] = binv_(i, j);
   }
 
-  [[nodiscard]] const vblas::Matrix<double>* dense_inverse()
-      const noexcept override {
-    return &binv_;
-  }
-
   [[nodiscard]] std::size_t refactor_count() const noexcept override {
     return refactors_;
   }

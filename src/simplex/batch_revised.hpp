@@ -464,7 +464,6 @@ class BatchRevisedSimplex {
           mask_dirty = true;
           continue;
         }
-        (void)theta_h;
         ++iters[k];
         basic_h[k * m + p_h[k]] = q_h[k];
       }

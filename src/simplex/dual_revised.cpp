@@ -63,10 +63,8 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
   const double tol = s.opt.opt_tol;
   std::size_t since_improve = 0;
   for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        s.opt.pricing == PricingRule::kBland ||
-        (s.opt.pricing != PricingRule::kBland &&
-         since_improve >= s.opt.degeneracy_window);
+    const bool bland = s.opt.pricing == PricingRule::kBland ||
+                       since_improve >= s.opt.degeneracy_window;
     trace::ScopedSpan iter_span(tr, "dual_iteration", clock, "iteration",
                                 {{"iter", static_cast<double>(iter)}});
     // ---- leaving row ----

@@ -80,7 +80,7 @@ struct State {
   /// A^T augmented (n_aug x m) by its nonzeros: row j lists column j of
   /// A in strictly ascending row order.
   sparse::CsrMatrix<double> at;
-  basis::CsrColumnSource cols;
+  basis::ColumnSource cols;
   std::unique_ptr<basis::BasisOracle> oracle;
   std::vector<double> beta, pi, d, alpha;
   std::vector<double> colbuf, cb;  ///< oracle call scratch

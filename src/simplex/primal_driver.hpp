@@ -1,10 +1,11 @@
-// The one primal revised-simplex iteration, shared by every primal engine.
+// The one primal simplex iteration, shared by every primal engine.
 //
 // An iteration is price -> FTRAN -> ratio test -> basis update (plus a
 // periodic refactorization). What differs between engines is only how
 // each step runs: plain host loops over a BasisOracle (host engine, the
-// dual engine's primal cleanup) or device kernels (the device engine's
-// fused chain, under either basis representation). The engines
+// dual engine's primal cleanup), reads and eliminations of the full
+// tableau body B^-1 A (tableau.cpp), or device kernels (the device
+// engine's fused chain, under either basis representation). The engines
 // therefore supply a *step set* — the arithmetic and the kernels — and
 // PrimalDriver owns everything around it:
 //

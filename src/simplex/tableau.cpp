@@ -3,24 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <vector>
 
-#include "metrics/health.hpp"
 #include "profile/profile.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/primal_driver.hpp"
 #include "support/timer.hpp"
+#include "trace/trace.hpp"
 #include "vblas/containers.hpp"
 
 namespace gs::simplex {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// Full tableau: body is B^-1 A (m x n_aug), rhs is B^-1 b, and reduced
-/// costs are maintained in `drow` by the same eliminations.
+/// costs are maintained in `drow` by the same eliminations. It is also
+/// the tableau's PrimalDriver step set (see primal_driver.hpp): the body
+/// already holds every FTRAN'd column and every row of B^-1 A, so those
+/// steps only note an index, and a basis update is one elimination.
 struct Tableau {
   Tableau(const AugmentedLp& aug_in, const SolverOptions& opt_in,
           CostMeter& meter_in)
@@ -47,183 +48,168 @@ struct Tableau {
     for (std::uint32_t col : basic) in_basis[col] = true;
   }
 
-  /// Install phase costs: drow = c - c_B^T (B^-1 A), z = c_B^T rhs.
-  void price_from_scratch(const std::vector<double>& c) {
-    for (std::size_t j = 0; j < n_aug; ++j) drow[j] = c[j];
-    z = 0.0;
+  [[nodiscard]] bool may_enter(std::size_t j) const {
+    return !in_basis[j] && !aug.is_artificial[j];
+  }
+
+  /// Gauss-Jordan elimination around pivot (p, q) over the whole tableau.
+  void eliminate(std::size_t p, std::size_t q) {
+    auto prow = body.row(p);
+    const double pivot = prow[q];
+    for (std::size_t j = 0; j < n_aug; ++j) prow[j] /= pivot;
+    rhs[p] /= pivot;
     for (std::size_t i = 0; i < m; ++i) {
-      const double cbi = c[basic[i]];
+      if (i == p) continue;
+      auto row = body.row(i);
+      const double f = row[q];
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < n_aug; ++j) row[j] -= f * prow[j];
+      rhs[i] = std::max(0.0, rhs[i] - f * rhs[p]);
+    }
+    const double fd = drow[q];
+    if (fd != 0.0) {
+      for (std::size_t j = 0; j < n_aug; ++j) drow[j] -= fd * prow[j];
+    }
+    meter.charge("eliminate", 2.0 * double(m + 1) * double(n_aug),
+                 double((2 * (m + 1) * n_aug) * sizeof(double)));
+    const std::uint32_t leaving = basic[p];
+    basic[p] = static_cast<std::uint32_t>(q);
+    in_basis[leaving] = false;
+    in_basis[q] = true;
+  }
+
+  // ---- PrimalDriver step set ----
+
+  [[nodiscard]] const trace::Track& track() const { return meter.trace(); }
+  [[nodiscard]] double now() const { return meter.sim_seconds(); }
+  [[nodiscard]] std::uint32_t basic_at(std::size_t i) const {
+    return basic[i];
+  }
+  [[nodiscard]] bool is_basic(std::size_t j) const { return in_basis[j]; }
+
+  [[nodiscard]] double objective() const {
+    double z = 0.0;
+    for (std::size_t i = 0; i < m; ++i) z += (*c)[basic[i]] * rhs[i];
+    return z;
+  }
+
+  /// Install phase costs: drow = c - c_B^T (B^-1 A).
+  void load_costs(const std::vector<double>& costs) {
+    c = &costs;
+    drow = costs;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double cbi = costs[basic[i]];
       if (cbi == 0.0) continue;
       const auto row = body.row(i);
       for (std::size_t j = 0; j < n_aug; ++j) drow[j] -= cbi * row[j];
-      z += cbi * rhs[i];
     }
     meter.charge("reprice", 2.0 * double(m) * double(n_aug),
                  double((m * n_aug + n_aug) * sizeof(double)));
   }
 
-  [[nodiscard]] bool may_enter(std::size_t j) const {
-    return !in_basis[j] && !aug.is_artificial[j];
-  }
-
-  const AugmentedLp& aug;
-  std::size_t m, n_aug;
-  vblas::Matrix<double> body;
-  std::vector<double> rhs;
-  std::vector<double> drow;
-  double z = 0.0;
-  std::vector<std::uint32_t> basic;
-  std::vector<bool> in_basis;
-  const SolverOptions& opt;
-  CostMeter& meter;
-};
-
-[[nodiscard]] std::optional<std::size_t> select_entering(const Tableau& t,
-                                                         bool bland) {
-  const double tol = t.opt.opt_tol;
-  if (bland) {
-    for (std::size_t j = 0; j < t.n_aug; ++j) {
-      if (t.may_enter(j) && t.drow[j] < -tol) return j;
+  /// Dantzig (most negative drow), or the first admissible negative
+  /// reduced cost when the driver asks for Bland.
+  StepResult price(bool bland, Pivot& pv) {
+    const double tol = opt.opt_tol;
+    std::size_t best = n_aug;
+    double best_d = -tol;
+    for (std::size_t j = 0; j < n_aug; ++j) {
+      if (!may_enter(j)) continue;
+      if (bland ? drow[j] < -tol : drow[j] < best_d) {
+        best_d = drow[j];
+        best = j;
+        if (bland) break;
+      }
     }
-    return std::nullopt;
+    if (best == n_aug) return StepResult::kOptimal;
+    pv.q = best;
+    pv.d_q = drow[best];
+    return StepResult::kContinue;
   }
-  std::size_t best = t.n_aug;
-  double best_d = -tol;
-  for (std::size_t j = 0; j < t.n_aug; ++j) {
-    if (t.may_enter(j) && t.drow[j] < best_d) {
-      best_d = t.drow[j];
-      best = j;
-    }
-  }
-  if (best == t.n_aug) return std::nullopt;
-  return best;
-}
 
-/// Gauss-Jordan elimination around pivot (p, q) over the whole tableau.
-void eliminate(Tableau& t, std::size_t p, std::size_t q) {
-  auto prow = t.body.row(p);
-  const double pivot = prow[q];
-  for (std::size_t j = 0; j < t.n_aug; ++j) prow[j] /= pivot;
-  t.rhs[p] /= pivot;
-  for (std::size_t i = 0; i < t.m; ++i) {
-    if (i == p) continue;
-    auto row = t.body.row(i);
-    const double f = row[q];
-    if (f == 0.0) continue;
-    for (std::size_t j = 0; j < t.n_aug; ++j) row[j] -= f * prow[j];
-    t.rhs[i] = std::max(0.0, t.rhs[i] - f * t.rhs[p]);
-  }
-  const double fd = t.drow[q];
-  if (fd != 0.0) {
-    for (std::size_t j = 0; j < t.n_aug; ++j) t.drow[j] -= fd * prow[j];
-    t.z += fd * t.rhs[p];  // z tracks -c_B beta convention via elimination
-  }
-  t.meter.charge("eliminate", 2.0 * double(t.m + 1) * double(t.n_aug),
-                 double((2 * (t.m + 1) * t.n_aug) * sizeof(double)));
-  const std::uint32_t leaving = t.basic[p];
-  t.basic[p] = static_cast<std::uint32_t>(q);
-  t.in_basis[leaving] = false;
-  t.in_basis[q] = true;
-}
+  void ftran(const Pivot& pv) { ftran_column(pv.q); }
+  void ftran_column(std::size_t q) { col = q; }
 
-enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
-
-LoopExit run_loop(Tableau& t, std::size_t budget, SolverStats& stats,
-                  metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
-                  std::uint8_t phase) {
-  std::size_t since_improve = 0;
-  double last_obj = kInf;
-  for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        t.opt.pricing == PricingRule::kBland ||
-        (t.opt.pricing == PricingRule::kHybrid &&
-         since_improve >= t.opt.degeneracy_window);
-    const auto entering = select_entering(t, bland);
-    if (!entering.has_value()) return LoopExit::kOptimal;
-    const std::size_t q = *entering;
-    // Ratio test on column q of the tableau body.
-    std::size_t p = t.m;
-    double theta = kInf;
-    for (std::size_t i = 0; i < t.m; ++i) {
-      const double a = t.body(i, q);
-      if (a > t.opt.pivot_tol) {
-        const double r = t.rhs[i] / a;
+  /// Min ratio rhs_i / body(i, q) over body(i, q) > pivot_tol; ties break
+  /// to the lowest row index.
+  StepResult ratio(Pivot& pv) {
+    std::size_t p = m;
+    double theta = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+      const double a = body(i, pv.q);
+      if (a > opt.pivot_tol) {
+        const double r = rhs[i] / a;
         if (r < theta) {
           theta = r;
           p = i;
         }
       }
     }
-    t.meter.charge("ratio", double(t.m), double(2 * t.m * sizeof(double)));
-    if (p == t.m) return LoopExit::kUnbounded;
-    // The full tableau maintains no B^-1 to probe for residual drift; the
-    // health signals here are the pivot stream (magnitude, degeneracy,
-    // Bland activations) and the iteration tally.
-    health.record_pivot(t.body(p, q), theta, bland, iter);
-    if (record::Recorder* rec = t.opt.recorder) {
-      std::uint32_t ties = 0;
-      for (std::size_t i = 0; i < t.m; ++i) {
-        const double a = t.body(i, q);
-        if (a > t.opt.pivot_tol && t.rhs[i] / a == theta) ++ties;
-      }
-      record::DecisionRecord r;
-      r.phase = phase;
-      r.bland = bland ? 1 : 0;
-      r.iteration = stats.iterations;  // global pivot ordinal, pre-increment
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(p);
-      r.leaving_col = t.basic[p];
-      r.ratio_ties = ties;
-      r.reduced_cost = t.drow[q];
-      r.pivot_value = t.body(p, q);
-      r.theta = theta;
-      rec->record_pivot(r);
-    }
-    eliminate(t, p, q);
-    ++stats.iterations;
-    om.count_iteration();
-    const double obj = t.z;
-    if (obj < last_obj - 1e-12 * (1.0 + std::abs(last_obj))) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
-    last_obj = obj;
+    meter.charge("ratio", double(m), double(2 * m * sizeof(double)));
+    if (p == m) return StepResult::kUnbounded;
+    pv.p = p;
+    pv.theta = theta;
+    return StepResult::kContinue;
   }
-  return LoopExit::kIterationLimit;
-}
 
-[[nodiscard]] double objective_of(const Tableau& t,
-                                  const std::vector<double>& c) {
-  double z = 0.0;
-  for (std::size_t i = 0; i < t.m; ++i) z += c[t.basic[i]] * t.rhs[i];
-  return z;
-}
+  void pivot_element(Pivot& pv) const { pv.alpha_p = pivot_value(pv.p); }
+  [[nodiscard]] double pivot_value(std::size_t i) const {
+    return body(i, col);
+  }
 
-/// Pivot lingering zero-level artificials out where possible. `iteration`
-/// is the pivot ordinal stamped on recorded drive-out pivots.
-void drive_out_artificials(Tableau& t, std::uint64_t iteration) {
-  for (std::size_t i = 0; i < t.m; ++i) {
-    if (!t.aug.is_artificial[t.basic[i]]) continue;
-    for (std::size_t j = 0; j < t.aug.n; ++j) {
-      if (!t.in_basis[j] && std::abs(t.body(i, j)) > 1e-7) {
-        if (record::Recorder* rec = t.opt.recorder) {
-          record::DecisionRecord r;
-          r.phase = 1;
-          r.iteration = iteration;
-          r.entering = static_cast<std::uint32_t>(j);
-          r.leaving_row = static_cast<std::uint32_t>(i);
-          r.leaving_col = t.basic[i];
-          r.ratio_ties = 1;
-          r.pivot_value = t.body(i, j);
-          rec->record_pivot(r);
-        }
-        eliminate(t, i, j);
-        break;
+  [[nodiscard]] std::uint32_t ratio_ties(const Pivot& pv) const {
+    std::uint32_t ties = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double a = body(i, pv.q);
+      if (a > opt.pivot_tol && rhs[i] / a == pv.theta) ++ties;
+    }
+    return ties;
+  }
+
+  void update(const Pivot& pv) { eliminate(pv.p, pv.q); }
+  void drive_out_pivot(const Pivot& pv) { eliminate(pv.p, pv.q); }
+
+  /// Every elimination keeps the body exact B^-1 A: nothing to refactor.
+  [[nodiscard]] bool wants_refactor() const { return false; }
+  bool refactor() { return false; }
+
+  /// Entries of B^-1 B - I read off the body's basic columns, and max
+  /// |B^-1| over the probed rows: column k of B^-1 is the body's column of
+  /// the crash-basis variable of row k scaled by binv_diag[k] (the crash
+  /// basis is diagonal and its columns are unit columns of A up to scale).
+  [[nodiscard]] HealthProbe probe_health(std::size_t iter,
+                                         std::size_t probes) const {
+    const std::size_t step = std::max<std::size_t>(1, m / probes);
+    HealthProbe h;
+    for (std::size_t t = 0; t < probes; ++t) {
+      const std::size_t i = (iter + t * step) % m;
+      const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
+      h.residual = std::max(
+          h.residual, std::abs(body(i, basic[j]) - (i == j ? 1.0 : 0.0)));
+      for (std::size_t k = 0; k < m; ++k) {
+        h.growth = std::max(
+            h.growth, std::abs(body(i, aug.basic[k]) * aug.binv_diag[k]));
       }
     }
+    return h;
   }
-}
+
+  void drive_out_row(std::size_t i) { row = i; }
+  [[nodiscard]] double row_weight(std::size_t j) const { return body(row, j); }
+
+  const AugmentedLp& aug;
+  std::size_t m, n_aug;
+  vblas::Matrix<double> body;
+  std::vector<double> rhs;
+  std::vector<double> drow;
+  std::vector<std::uint32_t> basic;
+  std::vector<bool> in_basis;
+  const std::vector<double>* c = nullptr;  ///< current phase costs
+  std::size_t col = 0;                     ///< last FTRAN'd column
+  std::size_t row = 0;                     ///< drive-out row
+  const SolverOptions& opt;
+  CostMeter& meter;
+};
 
 }  // namespace
 
@@ -239,9 +225,10 @@ SolveResult TableauSimplex::solve_standard(
                   profile::chain(options_.profiler, options_.trace_sink,
                                  trace::kHostPid, model_),
                   options_.metrics);
-  metrics::SimplexOpMetrics op_metrics;
-  op_metrics.attach(options_.metrics);
-  metrics::HealthMonitor health(options_.metrics, options_.health);
+  const trace::Track& tr = meter.trace();
+  const auto clock = [&meter] { return meter.sim_seconds(); };
+  if (tr.enabled()) tr.name_thread("tableau");
+  trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
   const AugmentedLp aug = augment(sf);
   Tableau tab(aug, options_, meter);
   record::Recorder* rec = options_.recorder;
@@ -250,75 +237,40 @@ SolveResult TableauSimplex::solve_standard(
   }
 
   SolveResult result;
-  auto finish = [&](SolveStatus status) -> SolveResult {
-    result.status = status;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = meter.stats();
-    result.stats.sim_seconds = meter.sim_seconds();
-    if (rec != nullptr) {
-      rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                     options_.metrics ? options_.metrics->warnings_total() : 0,
-                     tab.basic);
+  PrimalDriver driver(tab, aug, options_, result.stats);
+  const SolveStatus status = driver.run_phases(aug.num_artificial > 0);
+  if (status == SolveStatus::kOptimal) {
+    std::vector<double> x_std(aug.n, 0.0);
+    for (std::size_t i = 0; i < aug.m; ++i) {
+      if (tab.basic[i] < aug.n) x_std[tab.basic[i]] = tab.rhs[i];
     }
-    return result;
-  };
-
-  std::size_t budget = options_.max_iterations;
-  if (aug.num_artificial > 0) {
-    if (rec != nullptr) rec->begin_phase(1);
-    tab.price_from_scratch(aug.c_phase1);
-    const LoopExit exit =
-        run_loop(tab, budget, result.stats, op_metrics, health, 1);
-    result.stats.phase1_iterations = result.stats.iterations;
-    if (exit == LoopExit::kIterationLimit) {
-      return finish(SolveStatus::kIterationLimit);
-    }
-    if (exit == LoopExit::kUnbounded) {
-      return finish(SolveStatus::kNumericalTrouble);
-    }
-    const double feas_tol =
-        1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-    if (objective_of(tab, aug.c_phase1) > feas_tol) {
-      return finish(SolveStatus::kInfeasible);
-    }
-    drive_out_artificials(tab, result.stats.iterations);
-    budget -= std::min(budget, result.stats.iterations);
-  }
-
-  if (rec != nullptr) rec->begin_phase(2);
-  tab.price_from_scratch(aug.c_phase2);
-  const LoopExit exit =
-      run_loop(tab, budget, result.stats, op_metrics, health, 2);
-  if (exit == LoopExit::kUnbounded) return finish(SolveStatus::kUnbounded);
-  if (exit == LoopExit::kIterationLimit) {
-    return finish(SolveStatus::kIterationLimit);
-  }
-
-  std::vector<double> x_std(aug.n, 0.0);
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    if (tab.basic[i] < aug.n) x_std[tab.basic[i]] = tab.rhs[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
-  // Duals from the reduced costs of each row's identity column (its slack,
-  // or its artificial where no slack exists): d_col = -y_i at optimality.
-  {
+    result.x = sf.recover(x_std);
+    double z = 0.0;
+    for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
+    result.objective = sf.original_objective(z);
+    // Duals from the reduced costs of each row's identity column (its
+    // slack, or its artificial where no slack exists): d_col = -y_i at
+    // optimality.
     std::vector<double> pi(aug.m, 0.0);
     std::size_t k = 0;
     for (std::size_t i = 0; i < aug.m; ++i) {
-      std::size_t col;
-      if (sf.slack_col[i] >= 0) {
-        col = static_cast<std::size_t>(sf.slack_col[i]);
-      } else {
-        col = aug.n + k++;
-      }
+      const std::size_t col = sf.slack_col[i] >= 0
+                                  ? static_cast<std::size_t>(sf.slack_col[i])
+                                  : aug.n + k++;
       pi[i] = -tab.drow[col];
     }
     result.y = sf.recover_duals(pi);
   }
-  return finish(SolveStatus::kOptimal);
+  result.status = status;
+  result.stats.wall_seconds = wall.seconds();
+  result.stats.device_stats = meter.stats();
+  result.stats.sim_seconds = meter.sim_seconds();
+  if (rec != nullptr) {
+    rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
+                   options_.metrics ? options_.metrics->warnings_total() : 0,
+                   tab.basic);
+  }
+  return result;
 }
 
 }  // namespace gs::simplex

@@ -294,27 +294,33 @@ TEST(MetricsSolve, HostEngineChargesCpuStepMetrics) {
                    double(result.stats.iterations));
 }
 
-// The dual engine's primal cleanup runs the shared primal driver, so a
-// pure-'<=' solve (all cleanup) charges the same op histograms and health
-// samples as the host engine.
-TEST(MetricsSolve, DualEngineChargesOpHistogramsAndHealth) {
-  metrics::MetricsRegistry reg;
-  simplex::SolverOptions opt;
-  opt.metrics = &reg;
-  const auto result = simplex::DualRevisedSimplex(opt).solve(tiny_lp());
-  ASSERT_TRUE(result.optimal());
-  const double iters = double(result.stats.iterations);
-  ASSERT_GT(iters, 0.0);
-  EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(), iters);
-  const auto& hist = reg.histograms();
-  // The final pricing pass finds no candidate: one more price than pivots.
-  EXPECT_EQ(double(hist.at("simplex.op_seconds.price").count()), iters + 1);
-  for (const char* op : {"ftran", "ratio", "update"}) {
-    EXPECT_EQ(double(hist.at(std::string("simplex.op_seconds.") + op).count()),
-              iters)
-        << op;
+// The dual engine's primal cleanup and the tableau run the shared primal
+// driver, so a pure-'<=' solve (all cleanup for the dual engine) charges
+// the same op histograms and health samples as the host engine.
+TEST(MetricsSolve, DualAndTableauChargeOpHistogramsAndHealth) {
+  for (const simplex::Engine engine :
+       {simplex::Engine::kDualRevised, simplex::Engine::kTableau}) {
+    metrics::MetricsRegistry reg;
+    simplex::SolverOptions opt;
+    opt.metrics = &reg;
+    const auto result = simplex::solve(tiny_lp(), engine, opt);
+    ASSERT_TRUE(result.optimal()) << to_string(engine);
+    const double iters = double(result.stats.iterations);
+    ASSERT_GT(iters, 0.0) << to_string(engine);
+    EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(), iters);
+    const auto& hist = reg.histograms();
+    // The final pricing pass finds no candidate: one more price than pivots.
+    EXPECT_EQ(double(hist.at("simplex.op_seconds.price").count()), iters + 1)
+        << to_string(engine);
+    for (const char* op : {"ftran", "ratio", "update"}) {
+      EXPECT_EQ(
+          double(hist.at(std::string("simplex.op_seconds.") + op).count()),
+          iters)
+          << to_string(engine) << " " << op;
+    }
+    EXPECT_TRUE(reg.gauge("health.residual_inf").has_value())
+        << to_string(engine);
   }
-  EXPECT_TRUE(reg.gauge("health.residual_inf").has_value());
 }
 
 // Every refactorization lands in simplex.op_seconds.refactor: one lap per

@@ -395,6 +395,32 @@ TEST(RecordDiff, DualCleanupMatchesHostPivotForPivot) {
   }
 }
 
+// The tableau runs the shared primal driver, so each phase's stall test
+// starts from the phase's objective, not from +inf (inf - 1e-12 * (1 + inf)
+// is NaN, which counts the first pivot as a stall and, under a one-pivot
+// degeneracy window, switches to Bland at pivot 1). Its decisions then
+// match the host engine's pivot for pivot.
+TEST(RecordDiff, TableauMatchesHostUnderOnePivotDegeneracyWindow) {
+  const lp::LpProblem problem = lp::random_sparse_lp(
+      {.rows = 60, .cols = 120, .density = 0.05, .seed = 3});
+  record::Recorder host_rec, tab_rec;
+  simplex::SolverOptions opt;
+  opt.degeneracy_window = 1;
+  opt.recorder = &host_rec;
+  const auto host = simplex::solve(problem, simplex::Engine::kHostRevised, opt);
+  opt.recorder = &tab_rec;
+  const auto tab = simplex::solve(problem, simplex::Engine::kTableau, opt);
+  ASSERT_TRUE(host.optimal());
+  ASSERT_TRUE(tab.optimal());
+  const record::DiffResult dr =
+      record::diff(host_rec.recording(), tab_rec.recording());
+  EXPECT_TRUE(dr.comparable);
+  EXPECT_FALSE(dr.diverged) << dr.describe();
+  EXPECT_EQ(dr.common, count_pivots(host_rec.recording()));
+  EXPECT_EQ(host.stats.iterations, 52u);
+  EXPECT_EQ(tab.stats.iterations, host.stats.iterations);
+}
+
 // Under plain Dantzig the dual engine's cleanup keeps its documented
 // hybrid Bland fallback, so Beale's instance terminates; the host engine
 // takes Dantzig literally and cycles until its iteration limit.

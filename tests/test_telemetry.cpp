@@ -253,31 +253,29 @@ TEST(TelemetryEngine, DeviceSolveRecordsSeriesOnModeledClock) {
   EXPECT_DOUBLE_EQ(obj.points().back().v, result.objective);
 }
 
-TEST(TelemetryEngine, HostSolveRecordsSeries) {
-  telemetry::Telemetry tel;
-  simplex::SolverOptions opt;
-  opt.telemetry = &tel;
-  const auto result = simplex::HostRevisedSimplex(opt).solve(tiny_lp());
-  ASSERT_TRUE(result.optimal());
-  ASSERT_TRUE(tel.series().contains("engine.objective"));
-  EXPECT_DOUBLE_EQ(tel.series().at("engine.objective").points().back().v,
-                   result.objective);
-}
-
-// tiny_lp is pure '<=', so the dual engine's crash basis is primal
-// feasible and its whole solve is the primal cleanup, which runs the
-// shared primal driver and so samples the same series as the host.
-TEST(TelemetryEngine, DualSolveRecordsSeries) {
-  telemetry::Telemetry tel;
-  simplex::SolverOptions opt;
-  opt.telemetry = &tel;
-  const auto result = simplex::DualRevisedSimplex(opt).solve(tiny_lp());
-  ASSERT_TRUE(result.optimal());
-  ASSERT_GT(result.stats.iterations, 0u);
-  ASSERT_TRUE(tel.series().contains("engine.objective"));
-  ASSERT_TRUE(tel.series().contains("engine.residual_inf"));
-  EXPECT_DOUBLE_EQ(tel.series().at("engine.objective").points().back().v,
-                   result.objective);
+// The host engine, the dual engine's primal cleanup (tiny_lp is pure '<=',
+// so the dual crash basis is primal feasible and the whole solve is the
+// cleanup) and the tableau all run the shared primal driver, so each
+// samples the objective and the basis-health series.
+TEST(TelemetryEngine, PrimalDriverEnginesRecordSeries) {
+  for (const simplex::Engine engine :
+       {simplex::Engine::kHostRevised, simplex::Engine::kDualRevised,
+        simplex::Engine::kTableau}) {
+    telemetry::Telemetry tel;
+    simplex::SolverOptions opt;
+    opt.telemetry = &tel;
+    const auto result = simplex::solve(tiny_lp(), engine, opt);
+    ASSERT_TRUE(result.optimal()) << to_string(engine);
+    ASSERT_GT(result.stats.iterations, 0u) << to_string(engine);
+    for (const char* name :
+         {"engine.objective", "engine.residual_inf", "engine.binv_growth"}) {
+      EXPECT_TRUE(tel.series().contains(name)) << to_string(engine) << " " << name;
+    }
+    ASSERT_TRUE(tel.series().contains("engine.objective"));
+    EXPECT_DOUBLE_EQ(tel.series().at("engine.objective").points().back().v,
+                     result.objective)
+        << to_string(engine);
+  }
 }
 
 // Attaching telemetry must not change a single pivot or modeled cost:
@@ -311,46 +309,32 @@ TEST(TelemetryEngine, DeviceSolveIsBitIdenticalWithTelemetryAttached) {
             with_tel.stats.device_stats.kernel_launches);
 }
 
-TEST(TelemetryEngine, HostSolveIsBitIdenticalWithTelemetryAttached) {
-  record::Recorder plain_rec, tel_rec;
-  simplex::SolverOptions plain_opt;
-  plain_opt.recorder = &plain_rec;
-  const auto plain = simplex::HostRevisedSimplex(plain_opt).solve(tiny_lp());
+TEST(TelemetryEngine, PrimalDriverEnginesAreBitIdenticalWithTelemetryAttached) {
+  for (const simplex::Engine engine :
+       {simplex::Engine::kHostRevised, simplex::Engine::kDualRevised,
+        simplex::Engine::kTableau}) {
+    record::Recorder plain_rec, tel_rec;
+    simplex::SolverOptions plain_opt;
+    plain_opt.recorder = &plain_rec;
+    const auto plain = simplex::solve(tiny_lp(), engine, plain_opt);
 
-  telemetry::Telemetry tel;
-  simplex::SolverOptions tel_opt;
-  tel_opt.recorder = &tel_rec;
-  tel_opt.telemetry = &tel;
-  const auto with_tel = simplex::HostRevisedSimplex(tel_opt).solve(tiny_lp());
+    telemetry::Telemetry tel;
+    simplex::SolverOptions tel_opt;
+    tel_opt.recorder = &tel_rec;
+    tel_opt.telemetry = &tel;
+    const auto with_tel = simplex::solve(tiny_lp(), engine, tel_opt);
 
-  const record::DiffResult dr =
-      record::diff(plain_rec.recording(), tel_rec.recording());
-  EXPECT_TRUE(dr.comparable);
-  EXPECT_FALSE(dr.diverged);
-  EXPECT_EQ(plain.objective, with_tel.objective);
-  EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
-}
-
-TEST(TelemetryEngine, DualSolveIsBitIdenticalWithTelemetryAttached) {
-  record::Recorder plain_rec, tel_rec;
-  simplex::SolverOptions plain_opt;
-  plain_opt.recorder = &plain_rec;
-  const auto plain = simplex::DualRevisedSimplex(plain_opt).solve(tiny_lp());
-
-  telemetry::Telemetry tel;
-  simplex::SolverOptions tel_opt;
-  tel_opt.recorder = &tel_rec;
-  tel_opt.telemetry = &tel;
-  const auto with_tel = simplex::DualRevisedSimplex(tel_opt).solve(tiny_lp());
-
-  const record::DiffResult dr =
-      record::diff(plain_rec.recording(), tel_rec.recording());
-  EXPECT_TRUE(dr.comparable);
-  EXPECT_FALSE(dr.diverged);
-  EXPECT_EQ(plain.objective, with_tel.objective);
-  EXPECT_EQ(plain.x, with_tel.x);
-  EXPECT_EQ(plain.stats.iterations, with_tel.stats.iterations);
-  EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
+    const record::DiffResult dr =
+        record::diff(plain_rec.recording(), tel_rec.recording());
+    EXPECT_TRUE(dr.comparable) << to_string(engine);
+    EXPECT_FALSE(dr.diverged) << to_string(engine);
+    EXPECT_EQ(plain.objective, with_tel.objective) << to_string(engine);
+    EXPECT_EQ(plain.x, with_tel.x) << to_string(engine);
+    EXPECT_EQ(plain.stats.iterations, with_tel.stats.iterations)
+        << to_string(engine);
+    EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds)
+        << to_string(engine);
+  }
 }
 
 // ---------------------------------------------------------------------
